@@ -215,9 +215,7 @@ def cmd_walk(args) -> int:
         if args.dag:
             expected = float(oracles.dag_reach_probabilities(g, args.s)[args.t])
         else:
-            dist = oracles.walk_distribution(
-                g if all(g.outdeg(v) for v in range(g.n)) else walks.SinkLoopsView(g),
-                args.s, args.steps)
+            dist = oracles.walk_distribution(walks.with_sink_loops(g), args.s, args.steps)
             expected = float(dist[args.t])
         for res in results:
             if abs(res.rho - expected) > args.eps:

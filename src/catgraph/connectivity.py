@@ -20,20 +20,18 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InvalidRegisterError
 from .graphs import GraphOracle, add_virtual_self_loop, reduce_degree
-from .metrics import RunMetrics, StepCounter
+from .metrics import DriverRun, RunMetrics, StepCounter
 from .tape import (
     GROUP_BITS,
     CatalyticTape,
     RegisterFile,
     WorkspaceMeter,
     allocate_registers,
-    alu_scratch_bits,
     ceil_log2,
 )
 
@@ -70,6 +68,63 @@ class PausePoint:
 
 
 # ---------------------------------------------------------------------------
+# Push kernel shared by both programs
+# ---------------------------------------------------------------------------
+
+
+def _push_layer(
+    file: RegisterFile,
+    src_base: int,
+    dst_base: int,
+    ids: Sequence[int],
+    in_lists,
+    sign: int,
+    self_edge: bool,
+) -> None:
+    """Edge pushes from the block at src_base into the block at dst_base.
+
+    Each destination v in `ids` that has sources gains sign times the sum of
+    its sources' residues; the sources are `in_lists[v]`, plus v itself when
+    `self_edge`. Every source in `ids` and every updated destination is
+    validated before anything is written. `ids` is either `range(n)`, a whole
+    block written back with one `write_block`, or a sorted list of relevant
+    ids written register by register, so that registers left out of the
+    list stay untouched.
+    """
+    count = ids[-1] + 1 if ids else 0
+    q, limit = file.modulus, file._limit
+    src = file.read_block(src_base, count)
+    for u in ids:
+        if src[u] >= limit:
+            raise InvalidRegisterError(
+                f"register {src_base + u} holds {src[u]} >= q*d = {limit}"
+            )
+    src = [val % q for val in src]
+    dst = file.read_block(dst_base, count)
+    updated = []
+    for v in ids:
+        nbrs = in_lists[v]
+        if not (nbrs or self_edge):
+            continue
+        val = dst[v]
+        if val >= limit:
+            raise InvalidRegisterError(
+                f"register {dst_base + v} holds {val} >= q*d = {limit}"
+            )
+        total = src[v] if self_edge else 0
+        for u in nbrs:
+            total += src[u]
+        b = val % q
+        dst[v] = val - b + (b + sign * total) % q
+        updated.append(v)
+    if isinstance(ids, range):
+        file.write_block(dst_base, dst)
+    else:
+        for v in updated:
+            file.write(dst_base + v, dst[v])
+
+
+# ---------------------------------------------------------------------------
 # Two-bank parity program (nonzero detection)
 # ---------------------------------------------------------------------------
 
@@ -98,24 +153,9 @@ class ParityProgram:
         self.sigma = 0
 
     def _apply_phase(self, sign: int) -> None:
-        file, n = self.file, self.n
-        src = file.residues_block(self.sigma * n, n)
-        dst_base = (1 - self.sigma) * n
-        dst = file.read_block(dst_base, n)
-        q, limit = file.modulus, file._limit
-        out = []
-        for v in range(n):
-            val = dst[v]
-            if val >= limit:
-                raise InvalidRegisterError(
-                    f"register {dst_base + v} holds {val} >= q*d = {limit}"
-                )
-            total = src[v]
-            for u in self.in_lists[v]:
-                total += src[u]
-            b = val % q
-            out.append(val - b + (b + sign * total) % q)
-        file.write_block(dst_base, out)
+        n = self.n
+        _push_layer(self.file, self.sigma * n, (1 - self.sigma) * n, range(n),
+                    self.in_lists, sign, self_edge=True)
         self.steps.add(self.pushes_per_phase)
 
     def forward_phase(self) -> None:
@@ -207,14 +247,13 @@ class LayeredPushState:
         self.steps = steps or StepCounter()
         self.pause = pause
         if relevant is None:
-            self.relevant = None
+            self.ids = range(n)
             self.relevant_set = None
-            targets = range(n)
         else:
-            self.relevant = sorted(relevant)
+            self.ids = sorted(relevant)
             self.relevant_set = set(relevant)
-            targets = self.relevant
-        self.in_lists = {v: graph.in_neighbors(v) for v in targets}
+        self.in_lists = {v: graph.in_neighbors(v) for v in self.ids}
+        self.pushes_per_layer = sum(len(l) for l in self.in_lists.values())
         self.b_applied = 0
         self.dirty_hi = 0
 
@@ -227,47 +266,10 @@ class LayeredPushState:
 
     def layer_push(self, i: int, reverse: bool = False) -> None:
         """Push (or reverse-push) every edge from layer i into layer i+1."""
-        file, n = self.file, self.n_ids
-        q = file.modulus
-        sign = -1 if reverse else 1
-        if self.relevant is None:
-            src = file.residues_block(i * n, n)
-            dst_base = (i + 1) * n
-            dst = file.read_block(dst_base, n)
-            limit = file._limit
-            out = []
-            npush = 0
-            for v in range(n):
-                nbrs = self.in_lists[v]
-                val = dst[v]
-                if not nbrs:
-                    out.append(val)
-                    continue
-                if val >= limit:
-                    raise InvalidRegisterError(
-                        f"register {dst_base + v} holds {val} >= q*d = {limit}"
-                    )
-                total = 0
-                for u in nbrs:
-                    total += src[u]
-                npush += len(nbrs)
-                b = val % q
-                out.append(val - b + (b + sign * total) % q)
-            file.write_block(dst_base, out)
-        else:
-            src = {u: file.residue(self._reg(i, u)) for u in self.relevant}
-            npush = 0
-            for v in self.relevant:
-                nbrs = self.in_lists[v]
-                if not nbrs:
-                    continue
-                total = 0
-                for u in nbrs:
-                    total += src[u]
-                npush += len(nbrs)
-                amount = (sign * total) % q
-                self.file.add_mod(self._reg(i + 1, v), amount)
-        self.steps.add(npush)
+        n = self.n_ids
+        _push_layer(self.file, i * n, (i + 1) * n, self.ids, self.in_lists,
+                    -1 if reverse else 1, self_edge=False)
+        self.steps.add(self.pushes_per_layer)
 
     def run_push(self, b: int) -> None:
         self.file.add_mod(self._reg(0, self.s), b)
@@ -288,6 +290,18 @@ class LayeredPushState:
         self.b_applied = 0
         self.steps.add(1)
         self._pause(f"start-decrement:b={b}")
+
+    def unwind(self) -> None:
+        """Undo the pushed layers and the start increment, without pausing.
+
+        Restores the registers after an exception at any pause point.
+        """
+        for i in range(self.dirty_hi - 1, -1, -1):
+            self.layer_push(i, reverse=True)
+            self.dirty_hi = i
+        if self.b_applied:
+            self.file.sub_mod(self._reg(0, self.s), self.b_applied)
+            self.b_applied = 0
 
     def original_value(self, i: int, v: int) -> int:
         """Initial value of register (i, v) at the current pause point.
@@ -436,10 +450,8 @@ def _extract_grouped(file, idx, kq, run_push, run_reverse, meter) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _trivial_answer(verdict: str, t0: float) -> ConnectivityAnswer:
-    metrics = RunMetrics(verdict=verdict, tape_restored=True, aborted=False)
-    metrics.wall_time_ms = (time.perf_counter() - t0) * 1000.0
-    return ConnectivityAnswer(verdict, metrics)
+def _trivial_answer(verdict: str) -> ConnectivityAnswer:
+    return ConnectivityAnswer(verdict, RunMetrics(verdict=verdict, tape_restored=True))
 
 
 def _check_st(graph: GraphOracle, s: int, t: int) -> None:
@@ -476,42 +488,24 @@ def connect_det(
     Every register is valid no matter the tape content, so there is no shift
     and no abort; the nonzero routine runs once with T = n.
     """
-    t0 = time.perf_counter()
     _check_st(graph, s, t)
     if s == t:
-        return _trivial_answer(VERDICT_PATH, t0)
+        return _trivial_answer(VERDICT_PATH)
     n = graph.n
     ell = det_register_width(n)
     q = 1 << ell
     if tape is None:
         tape = CatalyticTape.zeros(connect_det_tape_bits(n))
-    meter = meter or WorkspaceMeter()
-    steps = StepCounter()
     m = graph.edge_count()
-    charged = meter.charge_scalars(
-        vertex=n, nbr_index=n + 2, layer=n + 2, sigma=2, b=2,
-        edge_cursor=m + n + 2, nonzero_flag=2,
-    )
-    alu = alu_scratch_bits(ell)
-    meter.charge(alu)
-    charged += alu
-    digest0 = tape.digest()
-    file = allocate_registers(tape, 0, 2 * n, ell, q)
-    try:
-        zeta = st_nonzero_mod(graph, s, t, n, q, file, steps=steps, meter=meter)
-    finally:
-        meter.release(charged)
+    with DriverRun(
+        tape, meter, width=ell, vertex=n, nbr_index=n + 2, layer=n + 2,
+        sigma=2, b=2, edge_cursor=m + n + 2, nonzero_flag=2,
+    ) as run:
+        file = allocate_registers(tape, 0, 2 * n, ell, q)
+        zeta = st_nonzero_mod(graph, s, t, n, q, file, steps=run.steps, meter=run.meter)
     verdict = VERDICT_PATH if zeta != 0 else VERDICT_NO_PATH
-    metrics = RunMetrics(
-        verdict=verdict,
-        elapsed_steps=steps.n,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        workspace_peak_bits=meter.peak_bits,
-        catalytic_bits=file.touched_bits,
-        tape_restored=tape.digest() == digest0,
-        aborted=False,
-        normalizations=["dummy-self-edges"],
-    )
+    metrics = run.metrics(file.touched_bits, verdict=verdict,
+                          normalizations=["dummy-self-edges"])
     return ConnectivityAnswer(verdict, metrics)
 
 
@@ -546,65 +540,48 @@ def connect_rand(
     count kappa*log2(n). Returns "abort" if a shift leaves some register
     invalid, restoring the tape first.
     """
-    t0 = time.perf_counter()
     _check_st(graph, s, t)
     if s == t:
-        return _trivial_answer(VERDICT_PATH, t0)
+        return _trivial_answer(VERDICT_PATH)
     n = graph.n
     q_hi, ell = rand_parameters(n)
     if tape is None:
         tape = CatalyticTape.zeros(connect_rand_tape_bits(n))
-    meter = meter or WorkspaceMeter()
-    steps = StepCounter()
     rng = random.Random(seed)
     iters = iteration_count(n, kappa)
     m = graph.edge_count()
-    charged = meter.charge_scalars(
-        vertex=n, nbr_index=n + 2, layer=n + 2, sigma=2, b=2,
-        edge_cursor=m + n + 2, iteration=iters + 1,
-        q=q_hi, d=1 << ell, beta=1 << ell,
-    )
-    alu = alu_scratch_bits(ell)
-    meter.charge(alu)
-    charged += alu
-    digest0 = tape.digest()
     verdict = VERDICT_NO_PATH
     aborted = False
     touched = 0
-    try:
+    with DriverRun(
+        tape, meter, width=ell, vertex=n, nbr_index=n + 2, layer=n + 2,
+        sigma=2, b=2, edge_cursor=m + n + 2, iteration=iters + 1,
+        q=q_hi, d=1 << ell, beta=1 << ell,
+    ) as run:
         for _ in range(iters):
             q = rng.randrange(2, q_hi)
             beta = rng.getrandbits(ell)
             file = allocate_registers(tape, 0, 2 * n, ell, q)
             file.shift_all(beta)
-            steps.add(2 * n)
-            limit = file._limit
-            if any(v >= limit for v in file.read_block(0, 2 * n)):
+            run.steps.add(2 * n)
+            zeta = None
+            try:
+                if all(v < file._limit for v in file.read_block(0, 2 * n)):
+                    zeta = st_nonzero_mod(graph, s, t, n, q, file,
+                                          steps=run.steps, meter=run.meter)
+            finally:
                 file.shift_all((-beta) & ((1 << ell) - 1))
-                steps.add(2 * n)
+                run.steps.add(2 * n)
                 touched = max(touched, file.touched_bits)
+            if zeta is None:
                 aborted = True
                 verdict = VERDICT_ABORT
                 break
-            zeta = st_nonzero_mod(graph, s, t, n, q, file, steps=steps, meter=meter)
-            file.shift_all((-beta) & ((1 << ell) - 1))
-            steps.add(2 * n)
-            touched = max(touched, file.touched_bits)
             if zeta != 0:
                 verdict = VERDICT_PATH
                 break
-    finally:
-        meter.release(charged)
-    metrics = RunMetrics(
-        verdict=verdict,
-        elapsed_steps=steps.n,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        workspace_peak_bits=meter.peak_bits,
-        catalytic_bits=touched,
-        tape_restored=tape.digest() == digest0,
-        aborted=aborted,
-        normalizations=["dummy-self-edges"],
-    )
+    metrics = run.metrics(touched, verdict=verdict, aborted=aborted,
+                          normalizations=["dummy-self-edges"])
     return ConnectivityAnswer(verdict, metrics)
 
 
@@ -641,12 +618,12 @@ def connect_revertible(
     Runs the exact layered counter on the degree-reduced view (max in-degree
     2, plus a virtual self-loop at t for exact-length padding), touching only
     registers of relevant (non-isolated or s/t) vertices. The pause hook
-    receives a query function mapping a tape bit index to its original value.
+    receives a query function mapping a tape bit index to its original value;
+    an exception it raises propagates after the tape is restored.
     """
-    t0 = time.perf_counter()
     _check_st(graph, s, t)
     if s == t:
-        return _trivial_answer(VERDICT_PATH, t0)
+        return _trivial_answer(VERDICT_PATH)
     n = graph.n
     params = revertible_parameters(graph)
     view = params["view"]
@@ -655,21 +632,9 @@ def connect_revertible(
     relevant = sorted(set(view.iter_nonisolated()) | {s, t})
     if tape is None:
         tape = CatalyticTape.zeros((T + 1) * n_ids * ell)
-    meter = meter or WorkspaceMeter()
-    steps = StepCounter()
     rng = random.Random(seed)
     iters = iteration_count(n, kappa)
     m = graph.edge_count()
-    charged = meter.charge_scalars(
-        vertex=n_ids, nbr_index=4, layer=T + 2, b=2,
-        edge_cursor=2 * (m + n) + 2, iteration=iters + 1,
-        q=q_hi, d=1 << ell, beta=1 << ell,
-    )
-    alu = alu_scratch_bits(ell)
-    meter.charge(alu)
-    charged += alu
-    digest0 = tape.digest()
-
     rel_regs = [i * n_ids + v for i in range(T + 1) for v in relevant]
     relevant_set = set(relevant)
     full = (1 << ell) - 1
@@ -678,7 +643,11 @@ def connect_revertible(
     touched = 0
     pause_id = 0
 
-    try:
+    with DriverRun(
+        tape, meter, width=ell, vertex=n_ids, nbr_index=4, layer=T + 2, b=2,
+        edge_cursor=2 * (m + n) + 2, iteration=iters + 1,
+        q=q_hi, d=1 << ell, beta=1 << ell,
+    ) as run:
         for iteration in range(iters):
             q = rng.randrange(2, q_hi)
             beta = rng.getrandbits(ell)
@@ -709,48 +678,41 @@ def connect_revertible(
                     pause_hook(PausePoint(pause_id, iteration, stage), query)
                     pause_id += 1
 
-            file.shift_indices(rel_regs, beta)
-            steps.add(len(rel_regs))
-            shift_active = True
-            fire("shifted")
-            limit = file._limit
-            if any(file.read(r) >= limit for r in rel_regs):
-                file.shift_indices(rel_regs, (-beta) & full)
-                steps.add(len(rel_regs))
-                shift_active = False
-                fire("abort-unshifted")
-                touched = max(touched, file.touched_bits)
-                aborted = True
-                verdict = VERDICT_ABORT
-                break
-
             def pause(state: LayeredPushState, stage: str) -> None:
                 state_box[0] = state
                 fire(stage)
 
-            alpha = st_count_mod(
-                looped, s, t, T, q, file,
-                relevant=relevant, steps=steps, meter=meter, pause=pause,
-            )
-            state_box[0] = None
-            file.shift_indices(rel_regs, (-beta) & full)
-            steps.add(len(rel_regs))
-            shift_active = False
+            file.shift_indices(rel_regs, beta)
+            run.steps.add(len(rel_regs))
+            shift_active = True
+            alpha = None
+            try:
+                fire("shifted")
+                if all(file.read(r) < file._limit for r in rel_regs):
+                    alpha = st_count_mod(
+                        looped, s, t, T, q, file, relevant=relevant,
+                        steps=run.steps, meter=run.meter, pause=pause,
+                    )
+            finally:
+                # a raising hook or budget leaves the push state mid-run
+                if state_box[0] is not None:
+                    state_box[0].unwind()
+                    state_box[0] = None
+                file.shift_indices(rel_regs, (-beta) & full)
+                run.steps.add(len(rel_regs))
+                shift_active = False
+                touched = max(touched, file.touched_bits)
+            if alpha is None:
+                fire("abort-unshifted")
+                aborted = True
+                verdict = VERDICT_ABORT
+                break
             fire("unshifted")
-            touched = max(touched, file.touched_bits)
             if alpha != 0:
                 verdict = VERDICT_PATH
                 break
-    finally:
-        meter.release(charged)
-    metrics = RunMetrics(
-        verdict=verdict,
-        elapsed_steps=steps.n,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        workspace_peak_bits=meter.peak_bits,
-        catalytic_bits=touched,
-        tape_restored=tape.digest() == digest0,
-        aborted=aborted,
+    metrics = run.metrics(
+        touched, verdict=verdict, aborted=aborted,
         normalizations=["degree-reduction", f"virtual-self-loop:{t}"],
     )
     return ConnectivityAnswer(verdict, metrics)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import GraphFormatError
+from .tape import ceil_log2
 
 
 class GraphOracle:
@@ -204,8 +205,9 @@ class SinkLoopsView(GraphOracle):
         return merged[i] if 0 <= i < len(merged) else None
 
 
-def ceil_log2_int(x: int) -> int:
-    return (x - 1).bit_length()
+def with_sink_loops(g: GraphOracle) -> GraphOracle:
+    """g itself when it has no sinks, else SinkLoopsView(g), so walks are total."""
+    return SinkLoopsView(g) if any(g.outdeg(v) == 0 for v in range(g.n)) else g
 
 
 class DegreeReducedView(GraphOracle):
@@ -291,7 +293,7 @@ class DegreeReducedView(GraphOracle):
     def diameter_bound(self) -> int:
         """Walk-length bound: each base edge costs at most 1 + tree depth."""
         n = self.base_n
-        return n * (1 + ceil_log2_int(max(n, 2)))
+        return n * (1 + ceil_log2(max(n, 2)))
 
 
 def reduce_degree(base: GraphOracle) -> DegreeReducedView:

@@ -1,9 +1,12 @@
-"""Run metrics shared by all drivers and the CLI JSON schema (version 1)."""
+"""Run metrics (the CLI JSON schema, version 1) and the per-call driver run."""
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
+
+from .tape import CatalyticTape, WorkspaceMeter, alu_scratch_bits, bits_for
 
 SCHEMA_VERSION = 1
 
@@ -51,3 +54,43 @@ class StepCounter:
 
     def add(self, k: int = 1) -> None:
         self.n += k
+
+
+class DriverRun:
+    """The catalytic contract of one driver call, as a context manager.
+
+    Entering charges the driver's named scalars (each kwarg is a range, as in
+    `WorkspaceMeter.charge_scalars`), plus ALU scratch when a register
+    `width` is given, then digests the tape. Leaving releases the charge on
+    every exit path. After the run, `metrics` compares the tape against the
+    entry digest and assembles the RunMetrics; wall time counts from
+    construction.
+    """
+
+    def __init__(self, tape: CatalyticTape, meter: WorkspaceMeter | None = None,
+                 *, width: int | None = None, **scalars: int):
+        self.tape = tape
+        self.meter = meter or WorkspaceMeter()
+        self.steps = StepCounter()
+        self._bits = sum(bits_for(r) for r in scalars.values())
+        if width is not None:
+            self._bits += alu_scratch_bits(width)
+        self._t0 = time.perf_counter()
+
+    def __enter__(self) -> "DriverRun":
+        self.meter.charge(self._bits)
+        self._digest0 = self.tape.digest()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.meter.release(self._bits)
+
+    def metrics(self, catalytic_bits: int, **fields) -> RunMetrics:
+        return RunMetrics(
+            elapsed_steps=self.steps.n,
+            wall_time_ms=(time.perf_counter() - self._t0) * 1000.0,
+            workspace_peak_bits=self.meter.peak_bits,
+            catalytic_bits=catalytic_bits,
+            tape_restored=self.tape.digest() == self._digest0,
+            **fields,
+        )

@@ -154,15 +154,18 @@ class WorkspaceMeter:
     def charge(self, bits: int) -> None:
         if bits < 0:
             raise ValueError("cannot charge negative bits")
-        self.bits_in_use += bits
-        if self.bits_in_use > self.peak_bits:
-            self.peak_bits = self.bits_in_use
-        if self.budget is not None and self.bits_in_use > self.budget:
+        in_use = self.bits_in_use + bits
+        if self.budget is not None and in_use > self.budget:
             self.violations += 1
-            msg = f"workspace budget exceeded: {self.bits_in_use} > {self.budget} bits"
+            msg = f"workspace budget exceeded: {in_use} > {self.budget} bits"
             if self.on_violation == "raise":
+                # a rejected charge was never in use, so the caller has
+                # nothing to release for it
                 raise BudgetExceededError(msg)
             warnings.warn(msg)
+        self.bits_in_use = in_use
+        if in_use > self.peak_bits:
+            self.peak_bits = in_use
 
     def release(self, bits: int) -> None:
         if bits < 0:

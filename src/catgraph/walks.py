@@ -15,13 +15,12 @@ snapshot and reports the in-band irreversibility.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .errors import SinkVertexError, WalkCycleError
-from .graphs import GraphOracle, LayeredLiftView, SinkLoopsView, lift_layered
-from .metrics import RunMetrics, StepCounter
-from .tape import CatalyticTape, WorkspaceMeter, alu_scratch_bits, ceil_log2
+from .graphs import GraphOracle, LayeredLiftView, lift_layered, with_sink_loops
+from .metrics import DriverRun, RunMetrics, StepCounter
+from .tape import CatalyticTape, WorkspaceMeter, ceil_log2
 
 FWD = "fwd"
 REV = "rev"
@@ -192,7 +191,6 @@ def estimate_dag(
     WalkCycleError on non-acyclic input, in which case the tape state is not
     guaranteed.
     """
-    t0 = time.perf_counter()
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"s={s}, t={t} out of range for {g.n} vertices")
     if g.outdeg(t) != 0:
@@ -203,44 +201,29 @@ def estimate_dag(
     if tape is None:
         tape = CatalyticTape.zeros(base + g.n * width)
     regs = WalkRegisters(tape, base, g.n, width)
-    meter = meter or WorkspaceMeter()
-    steps = StepCounter()
-    charged = meter.charge_scalars(
-        vertex=g.n, edge_choice=max(g.outdeg(v) for v in range(g.n)) + 1,
-        walk_index=K + 1, n_reach=K + 1, hop_guard=g.n + 2,
-        walk_count=K + 1,
-    )
-    alu = alu_scratch_bits(width)
-    meter.charge(alu)
-    charged += alu
-    digest0 = tape.digest()
     counters = VisitCounters.for_graph(g) if collect else None
     touched: set = set()
-    values = regs.load()
     n_reach = 0
-    try:
-        for _ in range(K):
-            if _walk(g, s, FWD, values, width, counters, touched, steps) == t:
-                n_reach += 1
-        for _ in range(K):
-            _walk(g, s, REV, values, width, None, touched, steps)
-    finally:
-        regs.flush(values)
-        regs.mark_touched(touched)
-        meter.release(charged)
+    with DriverRun(
+        tape, meter, width=width, vertex=g.n,
+        edge_choice=max(g.outdeg(v) for v in range(g.n)) + 1,
+        walk_index=K + 1, n_reach=K + 1, hop_guard=g.n + 2, walk_count=K + 1,
+    ) as run:
+        values = regs.load()
+        try:
+            for _ in range(K):
+                if _walk(g, s, FWD, values, width, counters, touched, run.steps) == t:
+                    n_reach += 1
+            for _ in range(K):
+                _walk(g, s, REV, values, width, None, touched, run.steps)
+        finally:
+            regs.flush(values)
+            regs.mark_touched(touched)
     if counters is not None:
         counters.n_reach = n_reach
-    metrics = RunMetrics(
-        estimate=n_reach / K,
-        elapsed_steps=steps.n,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        workspace_peak_bits=meter.peak_bits,
-        catalytic_bits=regs.touched_bits,
-        tape_restored=tape.digest() == digest0,
-        aborted=False,
-        normalizations=list(normalizations or []),
-    )
-    metrics.extra["walks"] = K
+    metrics = run.metrics(regs.touched_bits, estimate=n_reach / K,
+                          normalizations=list(normalizations or []),
+                          extra={"walks": K})
     return DagWalkResult(n_reach / K, n_reach, K, width, counters, metrics)
 
 
@@ -260,9 +243,7 @@ class GeneralWalkResult:
 
 
 def general_tape_bits(g: GraphOracle, T: int, eps: float) -> int:
-    walkable = SinkLoopsView(g) if any(g.outdeg(v) == 0 for v in range(g.n)) else g
-    lift = lift_layered(walkable, T)
-    return dag_tape_bits(lift, eps)
+    return dag_tape_bits(lift_layered(with_sink_loops(g), T), eps)
 
 
 def estimate_general(
@@ -286,12 +267,10 @@ def estimate_general(
         raise ValueError(f"s={s}, t={t} out of range for {g.n} vertices")
     if T < 0:
         raise ValueError("step count must be nonnegative")
+    walkable = with_sink_loops(g)
     normalizations = []
-    walkable: GraphOracle = g
-    sinks = [v for v in range(g.n) if g.outdeg(v) == 0]
-    if sinks:
-        walkable = SinkLoopsView(g)
-        normalizations.append(f"sink-self-loops:{len(sinks)}")
+    if walkable is not g:
+        normalizations.append(f"sink-self-loops:{len(walkable.loop_vertices)}")
     lift = lift_layered(walkable, T)
     dag = estimate_dag(
         lift,
@@ -311,23 +290,26 @@ def estimate_general(
 # ---------------------------------------------------------------------------
 
 
+def rotor_widths(g: GraphOracle) -> list[int]:
+    """Rotor bits per vertex: ceil(log2 outdeg(v)), one bit minimum."""
+    return [ceil_log2(max(g.outdeg(v), 2)) for v in range(g.n)]
+
+
 class RotorRegisters:
     """Variable-width rotors: vertex v stores a value in [outdeg(v)].
 
-    Spans are packed in vertex order with width ceil(log2 outdeg(v)), one bit
-    minimum; a raw span is interpreted mod outdeg(v).
+    Spans are packed in vertex order with the widths of `rotor_widths`; a
+    raw span is interpreted mod outdeg(v).
     """
 
     def __init__(self, tape: CatalyticTape, g: GraphOracle, base: int = 0):
         self.tape = tape
         self.g = g
         self.offsets = []
-        self.widths = []
+        self.widths = rotor_widths(g)
         off = base
-        for v in range(g.n):
-            w = max(1, ceil_log2(max(g.outdeg(v), 2))) if g.outdeg(v) > 1 else 1
+        for w in self.widths:
             self.offsets.append(off)
-            self.widths.append(w)
             off += w
         self.end = off
         tape._check_span(base, off - base)
@@ -358,10 +340,7 @@ class RotorRegisters:
 
 
 def stationary_tape_bits(g: GraphOracle) -> int:
-    total = 0
-    for v in range(g.n):
-        total += max(1, ceil_log2(max(g.outdeg(v), 2))) if g.outdeg(v) > 1 else 1
-    return total
+    return sum(rotor_widths(g))
 
 
 @dataclass
@@ -399,7 +378,6 @@ def estimate_stationary(
     input, so restoration happens out of band (span snapshot), and metrics
     flag the in-band irreversibility.
     """
-    t0 = time.perf_counter()
     if not 0 <= v_star < g.n:
         raise ValueError(f"v_star={v_star} out of range")
     for v in range(g.n):
@@ -410,47 +388,36 @@ def estimate_stationary(
     if tape is None:
         tape = CatalyticTape.zeros(stationary_tape_bits(g))
     rotors = RotorRegisters(tape, g)
-    meter = meter or WorkspaceMeter()
-    steps = StepCounter()
-    charged = meter.charge_scalars(
-        vertex=g.n, edge_choice=max(g.outdeg(v) for v in range(g.n)) + 1,
-        step=t_prime + 1, n_visit=t_prime + 1,
-    )
-    digest0 = tape.digest()
-    snap = rotors.snapshot_spans() if restore else None
-    values = rotors.load()
     counts = [0] * g.n if collect else None
     visited = set()
     n_visit = 0
     v = start
-    for _ in range(t_prime):
-        if v == v_star:
-            n_visit += 1
-        if counts is not None:
-            counts[v] += 1
-        d = g.outdeg(v)
-        r = values[v]
-        values[v] = (values[v] + 1) % d
-        visited.add(v)
-        v = g.outnbr(v, r)
-        steps.n += 1
-    # only rotors the walk actually advanced are written back
-    rotors.flush(values, only=sorted(visited))
-    final = rotors.load()
-    if restore and snap is not None:
-        rotors.restore_spans(snap)
-    meter.release(charged)
+    with DriverRun(
+        tape, meter, vertex=g.n, edge_choice=max(g.outdeg(v) for v in range(g.n)) + 1,
+        step=t_prime + 1, n_visit=t_prime + 1,
+    ) as run:
+        snap = rotors.snapshot_spans() if restore else None
+        values = rotors.load()
+        for _ in range(t_prime):
+            if v == v_star:
+                n_visit += 1
+            if counts is not None:
+                counts[v] += 1
+            d = g.outdeg(v)
+            r = values[v]
+            values[v] = (values[v] + 1) % d
+            visited.add(v)
+            v = g.outnbr(v, r)
+            run.steps.n += 1
+        # only rotors the walk actually advanced are written back
+        rotors.flush(values, only=sorted(visited))
+        final = rotors.load()
+        if restore:
+            rotors.restore_spans(snap)
     rho = n_visit / t_prime if t_prime else 0.0
-    metrics = RunMetrics(
-        estimate=rho,
-        elapsed_steps=steps.n,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        workspace_peak_bits=meter.peak_bits,
-        catalytic_bits=sum(rotors.widths[u] for u in visited),
-        tape_restored=tape.digest() == digest0,
-        aborted=False,
+    metrics = run.metrics(
+        sum(rotors.widths[u] for u in visited), estimate=rho,
         normalizations=["out-of-band-rotor-restore"] if restore else [],
+        extra={"t_prime": t_prime, "in_band_irreversible": True},
     )
-    metrics.extra["t_prime"] = t_prime
-    metrics.extra["in_band_irreversible"] = True
     return StationaryResult(rho, t_prime, counts, final, metrics)

@@ -18,9 +18,11 @@ from catgraph.connectivity import (
     st_count_mod,
     st_nonzero_mod,
 )
+from catgraph.errors import BudgetExceededError
 from catgraph.graphs import AdjacencyGraph
 from catgraph.oracles import bfs_reach, count_paths_layers, zeta_table
 from catgraph.tape import CatalyticTape, WorkspaceMeter, allocate_registers, make_tape
+from catgraph.walks import dag_tape_bits, estimate_dag, estimate_general, estimate_stationary
 
 from helpers import TAPE_PROFILES, random_graph
 
@@ -384,15 +386,80 @@ def test_driver_rejects_bad_vertices():
         connect_det(g, 0, 5)
 
 
+class _OutnbrFails(AdjacencyGraph):
+    def outnbr(self, v, i):
+        raise RuntimeError("graph oracle unavailable")
+
+
 def test_workspace_meter_is_used_and_released():
     g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    ring_edges = [(0, 0), (0, 1), (1, 2), (2, 0)]
+    ring = AdjacencyGraph.from_edges(3, ring_edges)
+    drivers = [
+        lambda meter: connect_det(g, 0, 3, meter=meter),
+        lambda meter: connect_rand(g, 0, 3, seed=1, meter=meter),
+        lambda meter: connect_revertible(g, 0, 3, seed=1, meter=meter),
+        lambda meter: estimate_dag(g, 0, 3, 0.5, meter=meter),
+        lambda meter: estimate_general(g, 0, 3, 3, 0.5, meter=meter),
+        lambda meter: estimate_stationary(ring, 0, 2, 0.5, meter=meter),
+    ]
+    for run in drivers:
+        meter = WorkspaceMeter()
+        peak = run(meter).metrics.workspace_peak_bits
+        assert peak > 0
+        assert meter.bits_in_use == 0
+        meter = WorkspaceMeter(budget=peak - 1)
+        with pytest.raises(BudgetExceededError):
+            run(meter)
+        assert meter.bits_in_use == 0
     meter = WorkspaceMeter()
-    ans = connect_det(g, 0, 3, meter=meter)
-    assert ans.metrics.workspace_peak_bits > 0
+    with pytest.raises(RuntimeError):
+        estimate_stationary(_OutnbrFails.from_edges(3, ring_edges), 0, 2, 0.5, meter=meter)
     assert meter.bits_in_use == 0
-    steps_meter = WorkspaceMeter()
-    connect_rand(g, 0, 3, seed=1, meter=steps_meter)
-    assert steps_meter.bits_in_use == 0
+
+
+def test_budget_overrun_restores_tape():
+    g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
+    dag = AdjacencyGraph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    drivers = [
+        (connect_det_tape_bits(g.n),
+         lambda tape, meter: connect_det(g, 0, 3, tape=tape, meter=meter)),
+        (connect_rand_tape_bits(g.n),
+         lambda tape, meter: connect_rand(g, 0, 3, seed=2, tape=tape, meter=meter)),
+        (connect_revertible_tape_bits(g),
+         lambda tape, meter: connect_revertible(g, 0, 3, seed=2, tape=tape, meter=meter)),
+        (dag_tape_bits(dag, 0.5),
+         lambda tape, meter: estimate_dag(dag, 0, 3, 0.5, tape, meter=meter)),
+    ]
+    for bits, run in drivers:
+        tape = make_tape(bits, "random", 5)
+        before = tape.digest()
+        peak = run(tape, WorkspaceMeter()).metrics.workspace_peak_bits
+        for budget in range(peak):
+            with pytest.raises(BudgetExceededError):
+                run(tape, WorkspaceMeter(budget=budget))
+            assert tape.digest() == before, budget
+
+
+def test_revertible_raising_pause_hook_restores_tape():
+    class HookFault(Exception):
+        pass
+
+    g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
+    tape = make_tape(connect_revertible_tape_bits(g), "random", 6)
+    before = tape.digest()
+    points = []
+    ans = connect_revertible(g, 0, 2, seed=1, tape=tape,
+                             pause_hook=lambda point, query: points.append(point))
+    assert ans.metrics.tape_restored and len(points) > 3
+    for k, point in enumerate(points):
+        def hook(p, query, k=k):
+            if p.pause_id == k:
+                raise HookFault(k)
+
+        with pytest.raises(HookFault):
+            connect_revertible(g, 0, 2, seed=1, tape=tape, pause_hook=hook)
+        assert tape.digest() == before, point.stage
 
 
 def test_drivers_reject_explicit_self_loops():

@@ -1,0 +1,44 @@
+"""The traced benchmark run (bench/spans.py) wraps catgraph functions by name.
+
+A rename in catgraph that the span list does not follow would only show up
+as a crash of `bench/run.py --trace 1`; this test makes it fail here instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from catgraph import connectivity, walks
+from catgraph.graphs import AdjacencyGraph
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_targets_exist_and_record_every_layer():
+    spans = _load_spans()
+    for owner, attr, group, _amount in spans._targets():
+        assert hasattr(owner, attr), f"{group}: {owner}.{attr}"
+    g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    ring = AdjacencyGraph.from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 0)])
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    try:
+        connectivity.connect_det(g, 0, 3)
+        connectivity.connect_rand(g, 3, 0, seed=1)
+        connectivity.connect_revertible(g, 0, 3, seed=1)
+        walks.estimate_dag(g, 0, 3, 0.5)
+        walks.estimate_general(g, 0, 3, 3, 0.5)
+        walks.estimate_stationary(ring, 0, 2, 0.5)
+    finally:
+        uninstall()
+    groups = spans.summarize(tracer.names, tracer.arrays())["groups"]
+    for group in ("connectivity.iteration", "connectivity.phase",
+                  "connectivity.layer_push", "walks.registers"):
+        assert groups[group]["calls"] > 0, group
+    assert groups["connectivity.layer_push"]["amount"] > 0
