@@ -28,7 +28,8 @@ class GraphFormatError(CatgraphError):
 class WalkCycleError(CatgraphError):
     """A walk exceeded n steps, which is impossible on acyclic input.
 
-    When this fires the tape contents are not guaranteed to be restored.
+    The walk's registers are written back only after every walk finished,
+    so when this fires the tape is left as it was.
     """
 
 

@@ -136,6 +136,51 @@ def dag_reach_probabilities(g: GraphOracle, s: int) -> list[Fraction]:
     return p
 
 
+def rotor_route_dag(g: GraphOracle, s: int, K: int, init: list[int], width: int):
+    """K forward rotor walks from s on a DAG, routed vertex by vertex.
+
+    By the abelian property of rotor routing, the j-th chip to reach v reads
+    register value (init[v] + j) mod 2^width and leaves along out-edge (that
+    value) mod outdeg(v), whatever order the chips arrive in. Routing every
+    chip of a vertex at once, in topological order, therefore gives what K
+    sequential walks give; each vertex's chips are split over its out-edges by
+    counting residue classes over [init[v], init[v] + chips), wrapping at
+    2^width, in O(n + m) arithmetic. `init` holds width-bit values.
+
+    Returns (chips, edge_chips, registers): chips reaching each vertex,
+    chips leaving along each out-edge (edge_chips[v][r] for out-edge r of v)
+    and the final registers.
+    """
+    order = topological_order(g)
+    if order is None:
+        raise ValueError("graph has a cycle")
+    M = 1 << width
+    chips = [0] * g.n
+    chips[s] = K
+    edge_chips = [[0] * g.outdeg(v) for v in range(g.n)]
+    registers = list(init)
+    for u in order:
+        c, d = chips[u], g.outdeg(u)
+        if c == 0 or d == 0:
+            continue
+        x = init[u]
+        full, rest = divmod(c, M)
+        # values x .. x+rest-1 after the full cycles: [x, hi) plus [0, wrap)
+        hi, wrap = min(x + rest, M), max(x + rest - M, 0)
+        for r in range(d):
+            k = (full * _residues_below(M, d, r) + _residues_below(hi, d, r)
+                 - _residues_below(x, d, r) + _residues_below(wrap, d, r))
+            edge_chips[u][r] = k
+            chips[g.outnbr(u, r)] += k
+        registers[u] = (x + c) % M
+    return chips, edge_chips, registers
+
+
+def _residues_below(b: int, d: int, r: int) -> int:
+    """How many y in [0, b) have y mod d == r."""
+    return b // d + (r < b % d)
+
+
 def walk_matrix(g: GraphOracle) -> np.ndarray:
     """Left-stochastic walk matrix W with W[v, u] = 1/outdeg(u) per edge."""
     n = g.n

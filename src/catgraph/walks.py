@@ -107,37 +107,78 @@ class VisitCounters:
         }
 
 
+def _rotor_walks(g: GraphOracle, s: int, mode: str, walks: int,
+                 values: list[int], width: int, counters: VisitCounters | None,
+                 touched: set | None, steps: StepCounter | None) -> dict[int, int]:
+    """Run `walks` rotor walks from s over the loaded register values.
+
+    Returns how many walks ended at each sink. Every FWD and REV batch of the
+    estimators runs through this one loop. A walk about to take step g.n + 1
+    raises WalkCycleError and leaves `values` half walked.
+
+    A walk on a LayeredLiftView is a walk on its base graph plus a layer
+    counter: vertex (layer, v) keeps its register at layer * base_n + v and
+    the walk stops on the last layer. The lift is never materialized, and
+    the base graph answers exactly the queries it answers through the view.
+    Any other graph is walked as itself, with stride 0 and no last layer.
+    """
+    if type(g) is LayeredLiftView:
+        base, stride, last = g.base, g.base_n, g.layers * g.base_n
+    else:
+        base, stride, last = g, 0, -1
+    outdeg, outnbr = base.outdeg, base.outnbr
+    mask = (1 << width) - 1
+    fwd = mode == FWD
+    n = g.n
+    visits = transitions = None
+    if counters is not None:
+        visits, transitions = counters.visits, counters.transitions
+    mark = touched.add if touched is not None else None
+    off0 = s - s % stride if stride else 0
+    v0 = s - off0
+    ends: dict[int, int] = {}
+    for _ in range(walks):
+        off, v, hops = off0, v0, 0
+        while True:
+            i = off + v
+            if visits is not None:
+                visits[i] += 1
+            if off == last:
+                break
+            d = outdeg(v)
+            if d == 0:
+                break
+            if hops >= n:
+                raise WalkCycleError(
+                    "walk exceeded the vertex count; input graph has a cycle"
+                )
+            x = values[i]
+            if fwd:
+                r = x % d
+                values[i] = (x + 1) & mask
+            else:
+                x = (x - 1) & mask
+                values[i] = x
+                r = x % d
+            if mark is not None:
+                mark(i)
+            if transitions is not None:
+                transitions[i][r] += 1
+            v = outnbr(v, r)
+            off += stride
+            hops += 1
+        ends[i] = ends.get(i, 0) + 1
+        if steps is not None:
+            steps.n += hops
+    return ends
+
+
 def _walk(g: GraphOracle, s: int, mode: str, values: list[int], width: int,
           counters: VisitCounters | None, touched: set | None,
           steps: StepCounter | None) -> int:
     """One walk over the loaded register values; returns the sink reached."""
-    mask = (1 << width) - 1
-    v = s
-    hops = 0
-    while True:
-        if counters is not None:
-            counters.visits[v] += 1
-        d = g.outdeg(v)
-        if d == 0:
-            return v
-        if hops >= g.n:
-            raise WalkCycleError(
-                "walk exceeded the vertex count; input graph has a cycle"
-            )
-        if mode == FWD:
-            r = values[v] % d
-            values[v] = (values[v] + 1) & mask
-        else:
-            values[v] = (values[v] - 1) & mask
-            r = values[v] % d
-        if touched is not None:
-            touched.add(v)
-        if counters is not None:
-            counters.transitions[v][r] += 1
-        if steps is not None:
-            steps.n += 1
-        v = g.outnbr(v, r)
-        hops += 1
+    (end,) = _rotor_walks(g, s, mode, 1, values, width, counters, touched, steps)
+    return end
 
 
 def walk_once(
@@ -147,14 +188,19 @@ def walk_once(
     regs: WalkRegisters,
     counters: VisitCounters | None = None,
 ) -> int:
-    """Run a single rotor walk against the tape; returns the sink vertex."""
+    """Run a single rotor walk against the tape; returns the sink vertex.
+
+    The registers are written back only when the walk finishes, so a walk
+    that raises WalkCycleError leaves the tape as it was.
+    """
     if mode not in (FWD, REV):
         raise ValueError(f"mode must be {FWD!r} or {REV!r}")
     values = regs.load()
-    try:
-        return _walk(g, s, mode, values, regs.width, counters, regs._touched, None)
-    finally:
-        regs.flush(values)
+    touched: set = set()
+    end = _walk(g, s, mode, values, regs.width, counters, touched, None)
+    regs.flush(values)
+    regs.mark_touched(touched)
+    return end
 
 
 @dataclass
@@ -188,8 +234,8 @@ def estimate_dag(
 
     Runs K = ceil(2m/eps) forward walks counting arrivals at t, then K
     reverse walks to undo every register change. The cycle guard raises
-    WalkCycleError on non-acyclic input, in which case the tape state is not
-    guaranteed.
+    WalkCycleError on non-acyclic input; the registers are written back only
+    after both batches finish, so the tape is then left as it was.
     """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"s={s}, t={t} out of range for {g.n} vertices")
@@ -203,22 +249,17 @@ def estimate_dag(
     regs = WalkRegisters(tape, base, g.n, width)
     counters = VisitCounters.for_graph(g) if collect else None
     touched: set = set()
-    n_reach = 0
     with DriverRun(
         tape, meter, width=width, vertex=g.n,
         edge_choice=max(g.outdeg(v) for v in range(g.n)) + 1,
         walk_index=K + 1, n_reach=K + 1, hop_guard=g.n + 2, walk_count=K + 1,
     ) as run:
         values = regs.load()
-        try:
-            for _ in range(K):
-                if _walk(g, s, FWD, values, width, counters, touched, run.steps) == t:
-                    n_reach += 1
-            for _ in range(K):
-                _walk(g, s, REV, values, width, None, touched, run.steps)
-        finally:
-            regs.flush(values)
-            regs.mark_touched(touched)
+        ends = _rotor_walks(g, s, FWD, K, values, width, counters, touched, run.steps)
+        _rotor_walks(g, s, REV, K, values, width, None, touched, run.steps)
+        regs.flush(values)
+        regs.mark_touched(touched)
+    n_reach = ends.get(t, 0)
     if counters is not None:
         counters.n_reach = n_reach
     metrics = run.metrics(regs.touched_bits, estimate=n_reach / K,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from catgraph.graphs import AdjacencyGraph
+from catgraph.errors import WalkCycleError
+from catgraph.graphs import AdjacencyGraph, GraphOracle
+from catgraph.walks import FWD
 
 TAPE_PROFILES = ("zeros", "ones", "random")
 
@@ -94,3 +96,52 @@ def enumerate_digraphs(n: int):
         yield AdjacencyGraph.from_edges(
             n, [e for k, e in enumerate(pairs) if bits >> k & 1]
         )
+
+
+def reference_walk(g, s, mode, values, width, counters, touched, steps) -> int:
+    """One rotor walk, one oracle query at a time: the per-step loop the
+    batched walk kernel replaced, kept as its reference."""
+    mask = (1 << width) - 1
+    v = s
+    hops = 0
+    while True:
+        if counters is not None:
+            counters.visits[v] += 1
+        d = g.outdeg(v)
+        if d == 0:
+            return v
+        if hops >= g.n:
+            raise WalkCycleError(
+                "walk exceeded the vertex count; input graph has a cycle"
+            )
+        if mode == FWD:
+            r = values[v] % d
+            values[v] = (values[v] + 1) & mask
+        else:
+            values[v] = (values[v] - 1) & mask
+            r = values[v] % d
+        if touched is not None:
+            touched.add(v)
+        if counters is not None:
+            counters.transitions[v][r] += 1
+        if steps is not None:
+            steps.n += 1
+        v = g.outnbr(v, r)
+        hops += 1
+
+
+class LoggingGraph(GraphOracle):
+    """Out-edge queries answered by `base`, each one appended to `log`."""
+
+    def __init__(self, base: GraphOracle):
+        self.base = base
+        self.n = base.n
+        self.log: list[tuple] = []
+
+    def outdeg(self, v: int) -> int:
+        self.log.append(("outdeg", v))
+        return self.base.outdeg(v)
+
+    def outnbr(self, v: int, i: int) -> int | None:
+        self.log.append(("outnbr", v, i))
+        return self.base.outnbr(v, i)

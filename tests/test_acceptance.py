@@ -19,12 +19,19 @@ from catgraph.connectivity import (
     connect_revertible_tape_bits,
     st_count_mod,
 )
-from catgraph.graphs import AdjacencyGraph, enumerate_nonisolated, reduce_degree
+from catgraph.graphs import (
+    AdjacencyGraph,
+    enumerate_nonisolated,
+    lift_layered,
+    reduce_degree,
+    with_sink_loops,
+)
 from catgraph.oracles import (
     bfs_reach,
     count_paths,
     dag_reach_probabilities,
     mixing_error,
+    rotor_route_dag,
     stationary_exact,
     walk_distribution,
 )
@@ -41,6 +48,7 @@ from catgraph.walks import (
     estimate_stationary,
     general_tape_bits,
     register_width,
+    simulation_count,
     stationary_tape_bits,
 )
 
@@ -253,24 +261,32 @@ def dag_runs():
         t = sinks[rng.randrange(len(sinks))]
         p_t = float(dag_reach_probabilities(g, s)[t])
         for eps in (0.1, 0.02):
+            K = simulation_count(g.m, eps)
+            width = register_width(K)
             for profile in TAPE_PROFILES:
                 tape = make_tape(dag_tape_bits(g, eps), profile, seed=k)
+                init = WalkRegisters(tape, 0, g.n, width).load()
+                routed = rotor_route_dag(g, s, K, init, width)
                 res = estimate_dag(g, s, t, eps, tape, collect=True)
-                runs.append((g, s, t, eps, p_t, res))
+                runs.append((g, s, t, eps, p_t, routed, res))
     return runs
 
 
 def test_criterion_07_dag_walk_accuracy(dag_runs):
-    for g, s, t, eps, p_t, res in dag_runs:
+    for g, s, t, eps, p_t, (chips, edge_chips, _), res in dag_runs:
         assert abs(res.rho - p_t) <= eps, (g.n, s, t, eps)
         assert abs(res.n_reach - res.walks * p_t) <= 2 * g.m
+        assert res.n_reach == chips[t]
+        assert res.counters.visits == chips
+        assert res.counters.transitions == edge_chips
         assert res.metrics.tape_restored
     report(7, f"{len(dag_runs)} runs (100 DAGs x eps in {{0.1, 0.02}} x 3 tape "
-              "profiles): |rho - p| <= eps and |N_t - K p| <= 2m")
+              "profiles): |rho - p| <= eps and |N_t - K p| <= 2m; N_t, visits "
+              "and transitions equal the rotor-routing oracle")
 
 
 def test_criterion_08_fairness_and_reversibility(dag_runs):
-    for g, _s, _t, _eps, _p, res in dag_runs:
+    for g, _s, _t, _eps, _p, _routed, res in dag_runs:
         for v in range(g.n):
             tr = res.counters.transitions[v]
             if tr:
@@ -307,12 +323,21 @@ def test_criterion_09_general_walk():
         T = rng.randint(0, 10)
         s, t = rng.randrange(n), rng.randrange(n)
         tape = make_tape(general_tape_bits(g, T, eps), TAPE_PROFILES[k % 3], seed=k)
-        res = estimate_general(g, s, t, T, eps, tape)
+        lift = lift_layered(with_sink_loops(g), T)
+        K = simulation_count(lift.edge_count(), eps)
+        width = register_width(K)
+        init = WalkRegisters(tape, 0, lift.n, width).load()
+        chips, edge_chips, _ = rotor_route_dag(lift, lift.encode(0, s), K, init, width)
+        res = estimate_general(g, s, t, T, eps, tape, collect=True)
         exact = float(walk_distribution(g, s, T)[t])
         assert abs(res.rho - exact) <= eps, (n, T, s, t)
+        assert res.dag.n_reach == chips[lift.encode(T, t)]
+        assert res.dag.counters.visits == chips
+        assert res.dag.counters.transitions == edge_chips
         assert res.metrics.tape_restored
     report(9, "100 out-regular graphs (n <= 20, T <= 10): "
-              "|rho - matrix-power probability| <= 0.05, 0 failures")
+              "|rho - matrix-power probability| <= 0.05, and N_t, visits and "
+              "transitions equal the rotor-routing oracle on the lift, 0 failures")
 
 
 # --- criterion 10: stationary walk ----------------------------------------------

@@ -13,13 +13,16 @@ from catgraph.oracles import (
     dag_reach_probabilities,
     is_acyclic,
     mixing_error,
+    rotor_route_dag,
     stationary_exact,
     transitive_closure,
     walk_distribution,
     zeta_table,
 )
 
-from helpers import ergodic_graph, figure_dag, random_graph
+from catgraph.walks import FWD, VisitCounters
+
+from helpers import ergodic_graph, figure_dag, random_dag, random_graph, reference_walk
 
 
 def test_bfs_reach_path_graph():
@@ -155,3 +158,32 @@ def test_is_acyclic():
     assert is_acyclic(AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)]))
     assert not is_acyclic(AdjacencyGraph.from_edges(2, [(0, 1), (1, 0)]))
     assert not is_acyclic(AdjacencyGraph.from_edges(1, [(0, 0)]))
+
+
+def test_rotor_route_dag_matches_sequential_walks():
+    rng = random.Random(23)
+    wrapped = over_period = 0
+    for _ in range(400):
+        g = random_dag(rng, rng.randint(1, 12))
+        s = rng.randrange(g.n)
+        width = rng.randint(1, 5)
+        K = rng.randint(0, 80)
+        init = [rng.randrange(1 << width) for _ in range(g.n)]
+        values = list(init)
+        counters = VisitCounters.for_graph(g)
+        for _ in range(K):
+            reference_walk(g, s, FWD, values, width, counters, None, None)
+        chips, edge_chips, registers = rotor_route_dag(g, s, K, init, width)
+        assert chips == counters.visits
+        assert edge_chips == counters.transitions
+        assert registers == values
+        wrapped += any(g.outdeg(v) and init[v] + chips[v] > 1 << width
+                       for v in range(g.n))
+        over_period += K > 1 << width
+    assert wrapped > 50 and over_period > 50
+
+
+def test_rotor_route_dag_rejects_cycles():
+    g = AdjacencyGraph.from_edges(2, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError):
+        rotor_route_dag(g, 0, 1, [0, 0], 1)

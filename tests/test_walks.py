@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from catgraph.errors import SinkVertexError, WalkCycleError
-from catgraph.graphs import AdjacencyGraph, lift_layered
+from catgraph.graphs import AdjacencyGraph, lift_layered, with_sink_loops
+from catgraph.metrics import StepCounter
 from catgraph.oracles import (
     dag_reach_probabilities,
     mixing_error,
@@ -11,13 +13,14 @@ from catgraph.oracles import (
     walk_distribution,
     walk_matrix,
 )
-from catgraph.tape import CatalyticTape, make_tape
+from catgraph.tape import CatalyticTape, WorkspaceMeter, make_tape
 from catgraph.walks import (
     FWD,
     REV,
     RotorRegisters,
     VisitCounters,
     WalkRegisters,
+    _rotor_walks,
     collect_counters,
     dag_tape_bits,
     estimate_dag,
@@ -33,10 +36,12 @@ from catgraph.walks import (
 
 from helpers import (
     TAPE_PROFILES,
+    LoggingGraph,
     ergodic_graph,
     figure_dag,
     out_regular_graph,
     random_dag,
+    reference_walk,
 )
 
 FIGURE_INIT = [0, 1, 0, 1, 0, 1, 0, 0]  # up = even register, down = odd
@@ -82,6 +87,86 @@ def test_walk_cycle_guard():
     regs = WalkRegisters(CatalyticTape.zeros(4), 0, 2, 2)
     with pytest.raises(WalkCycleError):
         walk_once(g, 0, FWD, regs)
+
+
+@pytest.mark.parametrize("profile", TAPE_PROFILES)
+def test_walk_cycle_error_leaves_tape_unchanged(profile):
+    # 0 alternates between the sink 3 and the cycle 1 <-> 2
+    g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 1), (0, 3)])
+    tape = make_tape(dag_tape_bits(g, 0.5), profile, 3)
+    before = tape.digest()
+    meter = WorkspaceMeter()
+    with pytest.raises(WalkCycleError):
+        estimate_dag(g, 0, 3, 0.5, tape, meter=meter)
+    assert tape.digest() == before
+    assert meter.bits_in_use == 0
+    regs = WalkRegisters(tape, 0, g.n, 2)
+    for _ in range(2):
+        before = tape.digest()
+        try:
+            walk_once(g, 0, FWD, regs)
+        except WalkCycleError:
+            break
+    else:
+        pytest.fail("no walk entered the cycle")
+    assert tape.digest() == before
+    assert regs.touched_bits <= 2  # only the completed walk's register
+
+
+def _batches(run, g, log, s, K, width, init):
+    """FWD then REV batches of K walks; everything the walks change or read."""
+    values = list(init)
+    counters = VisitCounters.for_graph(g)
+    touched: set = set()
+    steps = StepCounter()
+    log.log.clear()
+    ends = run(g, s, FWD, K, values, width, counters, touched, steps)
+    after_fwd = list(values)
+    run(g, s, REV, K, values, width, None, touched, steps)
+    return (ends, after_fwd, values, counters.visits, counters.transitions,
+            touched, steps.n, list(log.log))
+
+
+def _reference_batch(g, s, mode, K, values, width, counters, touched, steps):
+    return dict(Counter(reference_walk(g, s, mode, values, width, counters,
+                                       touched, steps) for _ in range(K)))
+
+
+def _graph_with_sinks(rng, n):
+    sinks = set(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
+    edges = [(u, v) for u in range(n) for v in range(n)
+             if u not in sinks and u != v and rng.random() < 0.4]
+    return AdjacencyGraph.from_edges(n, edges)
+
+
+def test_walk_kernel_matches_reference_walks():
+    # end vertices, registers, counters, touched set, steps and the exact
+    # sequence of out-edge queries, against one reference walk at a time
+    rng = random.Random(11)
+    cases = []
+    for _ in range(40):
+        log = LoggingGraph(random_dag(rng, rng.randint(2, 12)))
+        cases.append((log, log, rng.randrange(log.n)))
+    for T in (0, 1, 5):
+        for loops in (True, False):
+            for _ in range(12):
+                g = _graph_with_sinks(rng, rng.randint(2, 8))
+                log = LoggingGraph(with_sink_loops(g) if loops else g)
+                lift = lift_layered(log, T)
+                s = lift.encode(rng.randrange(T + 1), rng.randrange(g.n))
+                cases.append((lift, log, s))
+    lifted_steps = 0
+    for g, log, s in cases:
+        width = rng.randint(1, 5)
+        K = rng.randint(1, 40)
+        init = [rng.randrange(1 << width) for _ in range(g.n)]
+        got = _batches(_rotor_walks, g, log, s, K, width, init)
+        want = _batches(_reference_batch, g, log, s, K, width, init)
+        assert got == want, (g.n, s, K, width)
+        assert got[2] == init
+        if g is not log:
+            lifted_steps += got[6]
+    assert lifted_steps > 0
 
 
 def test_simulation_count_and_width():
