@@ -74,54 +74,56 @@ class PausePoint:
 
 def _push_layer(
     file: RegisterFile,
-    src_base: int,
-    dst_base: int,
-    ids: Sequence[int],
-    in_lists,
+    src: int | list[int],
+    dst: int | list[int],
+    sources: Sequence[Sequence[int]],
     sign: int,
-    self_edge: bool,
 ) -> None:
-    """Edge pushes from the block at src_base into the block at dst_base.
+    """Edge pushes from one block of registers into another.
 
-    Each destination v in `ids` that has sources gains sign times the sum of
-    its sources' residues; the sources are `in_lists[v]`, plus v itself when
-    `self_edge`. Every source in `ids` and every updated destination is
-    validated before anything is written. `ids` is either `range(n)`, a whole
-    block written back with one `write_block`, or a sorted list of relevant
-    ids written register by register, so that registers left out of the
-    list stay untouched.
+    The k-th destination gains sign times the sum of the residues of the
+    source registers at the positions `sources[k]`. Every source and every
+    destination with sources is validated before anything is written.
+
+    `src` and `dst` are either the first indices of two blocks of
+    len(sources) registers, moved with `read_block`/`write_block`, or lists
+    of register indices, moved with one `gather` each and one `scatter` of
+    `dst`, so registers left out of the lists stay untouched and clean.
     """
-    count = ids[-1] + 1 if ids else 0
     q, limit = file.modulus, file._limit
-    src = file.read_block(src_base, count)
-    for u in ids:
-        if src[u] >= limit:
-            raise InvalidRegisterError(
-                f"register {src_base + u} holds {src[u]} >= q*d = {limit}"
-            )
-    src = [val % q for val in src]
-    dst = file.read_block(dst_base, count)
-    updated = []
-    for v in ids:
-        nbrs = in_lists[v]
-        if not (nbrs or self_edge):
-            continue
-        val = dst[v]
-        if val >= limit:
-            raise InvalidRegisterError(
-                f"register {dst_base + v} holds {val} >= q*d = {limit}"
-            )
-        total = src[v] if self_edge else 0
-        for u in nbrs:
-            total += src[u]
-        b = val % q
-        dst[v] = val - b + (b + sign * total) % q
-        updated.append(v)
-    if isinstance(ids, range):
-        file.write_block(dst_base, dst)
+    block = isinstance(src, int)
+    if block:
+        src_vals = file.read_block(src, len(sources))
+        dst_vals = file.read_block(dst, len(sources))
     else:
-        for v in updated:
-            file.write(dst_base + v, dst[v])
+        src_vals = file.gather(src)
+        dst_vals = file.gather(dst)
+    if src_vals and max(src_vals) >= limit:
+        k = next(k for k, val in enumerate(src_vals) if val >= limit)
+        reg = src + k if block else src[k]
+        raise InvalidRegisterError(
+            f"register {reg} holds {src_vals[k]} >= q*d = {limit}"
+        )
+    res = [val % q for val in src_vals]
+    out = []
+    for val, srcs in zip(dst_vals, sources):
+        if srcs:
+            if val >= limit:
+                k = len(out)
+                reg = dst + k if block else dst[k]
+                raise InvalidRegisterError(
+                    f"register {reg} holds {val} >= q*d = {limit}"
+                )
+            total = 0
+            for u in srcs:
+                total += res[u]
+            b = val % q
+            val = val - b + (b + sign * total) % q
+        out.append(val)
+    if block:
+        file.write_block(dst, out)
+    else:
+        file.scatter(dst, out)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +138,11 @@ class ParityProgram:
     residue (the dummy self-edge) plus the residues of its in-neighbors, then
     flips sigma. A reverse phase flips sigma first and subtracts the same
     sums, so reverse phases unwind forward phases last-first.
+
+    Tracks how many forward phases are currently pushed (sigma is their
+    parity) and whether the start increment is applied; each is updated only
+    after its tape write succeeds, so `unwind` can undo a run cut short
+    anywhere.
     """
 
     def __init__(self, graph: GraphOracle, s: int, T: int, file: RegisterFile,
@@ -148,27 +155,33 @@ class ParityProgram:
         self.T = T
         self.file = file
         self.steps = steps or StepCounter()
-        self.in_lists = [graph.in_neighbors(v) for v in range(n)]
-        self.pushes_per_phase = n + sum(len(l) for l in self.in_lists)
-        self.sigma = 0
+        # each vertex's own residue (the dummy self-edge) and its in-neighbors'
+        self.sources = [[v, *graph.in_neighbors(v)] for v in range(n)]
+        self.pushes_per_phase = sum(len(l) for l in self.sources)
+        self.phases = 0
+        self.b_applied = 0
 
-    def _apply_phase(self, sign: int) -> None:
+    @property
+    def sigma(self) -> int:
+        return self.phases & 1
+
+    def _apply_phase(self, src_bank: int, sign: int) -> None:
         n = self.n
-        _push_layer(self.file, self.sigma * n, (1 - self.sigma) * n, range(n),
-                    self.in_lists, sign, self_edge=True)
+        _push_layer(self.file, src_bank * n, (1 - src_bank) * n, self.sources, sign)
         self.steps.add(self.pushes_per_phase)
 
     def forward_phase(self) -> None:
-        self._apply_phase(1)
-        self.sigma ^= 1
+        self._apply_phase(self.sigma, 1)
+        self.phases += 1
 
     def reverse_phase(self) -> None:
-        self.sigma ^= 1
-        self._apply_phase(-1)
+        self._apply_phase(self.sigma ^ 1, -1)
+        self.phases -= 1
 
     def run_push(self, b: int) -> None:
-        assert self.sigma == 0
+        assert self.phases == 0
         self.file.add_mod(self.s, b)
+        self.b_applied = b
         self.steps.add(1)
         for _ in range(self.T):
             self.forward_phase()
@@ -177,8 +190,17 @@ class ParityProgram:
         for _ in range(self.T):
             self.reverse_phase()
         self.file.sub_mod(self.s, b)
+        self.b_applied = 0
         self.steps.add(1)
-        assert self.sigma == 0
+        assert self.phases == 0
+
+    def unwind(self) -> None:
+        """Undo the pushed phases and the start increment."""
+        while self.phases:
+            self.reverse_phase()
+        if self.b_applied:
+            self.file.sub_mod(self.s, self.b_applied)
+            self.b_applied = 0
 
     def answer_index(self, t: int) -> int:
         # step-T values live in the bank last pushed to
@@ -207,8 +229,7 @@ def st_nonzero_mod(
     """
     prog = ParityProgram(graph, s, T, file, steps)
     return _extract_residue(
-        file, prog.answer_index(t), q, prog.run_push, prog.run_reverse,
-        meter=meter, force=_force_extract,
+        prog, file, prog.answer_index(t), q, meter=meter, force=_force_extract
     )
 
 
@@ -222,7 +243,8 @@ class LayeredPushState:
 
     Tracks which layers are currently pushed (always a prefix 1..dirty_hi)
     and whether the start increment is applied, which is exactly the state
-    needed to answer original-value queries between phases.
+    needed to answer original-value queries between phases and to `unwind`
+    a run cut short. Each is updated only after its tape write succeeds.
     """
 
     def __init__(
@@ -239,20 +261,30 @@ class LayeredPushState:
         n = graph.n
         if file.count != (T + 1) * n:
             raise ValueError("layered program needs (T+1)*n registers")
-        self.graph = graph
         self.n_ids = n
         self.s = s
         self.T = T
         self.file = file
         self.steps = steps or StepCounter()
         self.pause = pause
+        ids = range(n) if relevant is None else sorted(relevant)
+        self.relevant_set = None if relevant is None else set(relevant)
+        self.in_lists = {v: graph.in_neighbors(v) for v in ids}
         if relevant is None:
-            self.ids = range(n)
-            self.relevant_set = None
+            # whole layers: block starts, sources by vertex id
+            self._src = self._dst = [i * n for i in range(T + 1)]
+            self._sources = list(self.in_lists.values())
         else:
-            self.ids = sorted(relevant)
-            self.relevant_set = set(relevant)
-        self.in_lists = {v: graph.in_neighbors(v) for v in self.ids}
+            if any(u not in self.relevant_set
+                   for l in self.in_lists.values() for u in l):
+                raise ValueError("every in-neighbor of a relevant vertex must be relevant")
+            # per layer, the relevant registers (sources) and those of them
+            # with in-neighbors (destinations); sources by position in ids
+            pos = {v: k for k, v in enumerate(ids)}
+            dsts = [v for v in ids if self.in_lists[v]]
+            self._src = [[i * n + v for v in ids] for i in range(T + 1)]
+            self._dst = [[i * n + v for v in dsts] for i in range(T + 1)]
+            self._sources = [[pos[u] for u in self.in_lists[v]] for v in dsts]
         self.pushes_per_layer = sum(len(l) for l in self.in_lists.values())
         self.b_applied = 0
         self.dirty_hi = 0
@@ -266,9 +298,8 @@ class LayeredPushState:
 
     def layer_push(self, i: int, reverse: bool = False) -> None:
         """Push (or reverse-push) every edge from layer i into layer i+1."""
-        n = self.n_ids
-        _push_layer(self.file, i * n, (i + 1) * n, self.ids, self.in_lists,
-                    -1 if reverse else 1, self_edge=False)
+        _push_layer(self.file, self._src[i], self._dst[i + 1], self._sources,
+                    -1 if reverse else 1)
         self.steps.add(self.pushes_per_layer)
 
     def run_push(self, b: int) -> None:
@@ -292,10 +323,7 @@ class LayeredPushState:
         self._pause(f"start-decrement:b={b}")
 
     def unwind(self) -> None:
-        """Undo the pushed layers and the start increment, without pausing.
-
-        Restores the registers after an exception at any pause point.
-        """
+        """Undo the pushed layers and the start increment, without pausing."""
         for i in range(self.dirty_hi - 1, -1, -1):
             self.layer_push(i, reverse=True)
             self.dirty_hi = i
@@ -310,18 +338,24 @@ class LayeredPushState:
         plus the (unchanged) layer-(i-1) residues of v's in-neighbors; layer 0
         carries only the start increment. The tape is read, never written.
         """
-        idx = self._reg(i, v)
-        value = self.file.read(idx)
+        file = self.file
+        value = file.read(self._reg(i, v))
         if self.relevant_set is not None and v not in self.relevant_set:
             return value
-        q = self.file.modulus
+        q, limit = file.modulus, file._limit
         delta = 0
         if i == 0:
             if v == self.s:
                 delta = self.b_applied
         elif i <= self.dirty_hi:
-            for u in self.graph.in_neighbors(v):
-                delta += self.file.residue(self._reg(i - 1, u))
+            base = self._reg(i - 1, 0)
+            for u, val in zip(self.in_lists[v],
+                              file.gather([base + u for u in self.in_lists[v]])):
+                if val >= limit:
+                    raise InvalidRegisterError(
+                        f"register {base + u} holds {val} >= q*d = {limit}"
+                    )
+                delta += val % q
         b = value % q
         return value - b + (b - delta) % q
 
@@ -354,13 +388,7 @@ def st_count_mod(
         graph, s, T, file, relevant=relevant, steps=steps, pause=pause
     )
     return _extract_residue(
-        file,
-        state._reg(T, t),
-        q,
-        state.run_push,
-        state.run_reverse,
-        meter=meter,
-        force=_force_extract,
+        state, file, state._reg(T, t), q, meter=meter, force=_force_extract
     )
 
 
@@ -370,11 +398,10 @@ def st_count_mod(
 
 
 def _extract_residue(
+    prog: ParityProgram | LayeredPushState,
     file: RegisterFile,
     idx: int,
     q: int,
-    run_push: Callable[[int], None],
-    run_reverse: Callable[[int], None],
     *,
     meter: WorkspaceMeter | None = None,
     force: str | None = None,
@@ -385,17 +412,24 @@ def _extract_residue(
     push/reverse pairs in total. Wide power-of-two q: the register is wider
     than anything we may hold, so the difference is assembled GROUP_BITS at a
     time with a borrow, re-running the push sequence once per group and per b.
+
+    Any exception, from a tape write, a meter charge or a pause hook,
+    unwinds the program before it propagates, so the registers are restored.
     """
     pow2 = q & (q - 1) == 0
     kq = q.bit_length() - 1
-    if force == "dance" or (force is None and pow2 and kq > GROUP_BITS):
-        if not pow2:
-            raise ValueError("group-wise extraction requires a power-of-two modulus")
-        return _extract_grouped(file, idx, kq, run_push, run_reverse, meter)
-    return _extract_streaming(file, idx, q, run_push, run_reverse, meter)
+    try:
+        if force == "dance" or (force is None and pow2 and kq > GROUP_BITS):
+            if not pow2:
+                raise ValueError("group-wise extraction requires a power-of-two modulus")
+            return _extract_grouped(prog, file, idx, kq, meter)
+        return _extract_streaming(prog, file, idx, q, meter)
+    except BaseException:
+        prog.unwind()
+        raise
 
 
-def _extract_streaming(file, idx, q, run_push, run_reverse, meter) -> int:
+def _extract_streaming(prog, file, idx, q, meter) -> int:
     charged = 0
     if meter is not None:
         charged = meter.charge_scalars(
@@ -405,16 +439,16 @@ def _extract_streaming(file, idx, q, run_push, run_reverse, meter) -> int:
     try:
         res = []
         for b in (0, 1):
-            run_push(b)
+            prog.run_push(b)
             res.append(file.stream_residue(idx, q))
-            run_reverse(b)
+            prog.run_reverse(b)
         return (res[1] - res[0]) % q
     finally:
         if meter is not None:
             meter.release(charged)
 
 
-def _extract_grouped(file, idx, kq, run_push, run_reverse, meter) -> int:
+def _extract_grouped(prog, file, idx, kq, meter) -> int:
     ngroups = (kq + GROUP_BITS - 1) // GROUP_BITS
     charged = 0
     if meter is not None:
@@ -429,12 +463,12 @@ def _extract_grouped(file, idx, kq, run_push, run_reverse, meter) -> int:
             lo = g * GROUP_BITS
             gw = min(GROUP_BITS, kq - lo)
             gmask = (1 << gw) - 1
-            run_push(0)
+            prog.run_push(0)
             g0 = file.read_group(idx, g) & gmask
-            run_reverse(0)
-            run_push(1)
+            prog.run_reverse(0)
+            prog.run_push(1)
             g1 = file.read_group(idx, g) & gmask
-            run_reverse(1)
+            prog.run_reverse(1)
             diff = g1 - g0 - borrow
             borrow = 1 if diff < 0 else 0
             out |= (diff & gmask) << lo
@@ -448,6 +482,48 @@ def _extract_grouped(file, idx, kq, run_push, run_reverse, meter) -> int:
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
+
+
+class _Shift:
+    """A random shift beta over a file's registers, applied layer by layer.
+
+    `layers` lists the register indices of each layer; one `shift_indices`
+    call moves one layer, atomically. `done` counts the layers that carry the
+    shift, always a prefix of `layers`, so `undo` removes it from exactly
+    those, top layer first.
+    """
+
+    def __init__(self, file: RegisterFile, layers: Sequence[Sequence[int]], beta: int):
+        self.file = file
+        self.layers = layers
+        self.beta = beta
+        self.done = 0
+
+    def apply(self) -> None:
+        for regs in self.layers:
+            self.file.shift_indices(regs, self.beta)
+            self.done += 1
+
+    def undo(self) -> None:
+        inverse = (-self.beta) & self.file._mask
+        while self.done:
+            self.file.shift_indices(self.layers[self.done - 1], inverse)
+            self.done -= 1
+
+    def run(self, body: Callable[[], int | None]) -> int | None:
+        """body() with the shift applied; the shift is gone on every exit.
+
+        The normal-path undo sits inside the `try`, so an exception raised
+        by it, too, is followed by an undo from the layers still shifted.
+        """
+        try:
+            self.apply()
+            result = body()
+            self.undo()
+        except BaseException:
+            self.undo()
+            raise
+        return result
 
 
 def _trivial_answer(verdict: str) -> ConnectivityAnswer:
@@ -562,17 +638,17 @@ def connect_rand(
             q = rng.randrange(2, q_hi)
             beta = rng.getrandbits(ell)
             file = allocate_registers(tape, 0, 2 * n, ell, q)
-            file.shift_all(beta)
-            run.steps.add(2 * n)
-            zeta = None
-            try:
-                if all(v < file._limit for v in file.read_block(0, 2 * n)):
-                    zeta = st_nonzero_mod(graph, s, t, n, q, file,
-                                          steps=run.steps, meter=run.meter)
-            finally:
-                file.shift_all((-beta) & ((1 << ell) - 1))
+
+            def scan_and_count() -> int | None:
                 run.steps.add(2 * n)
-                touched = max(touched, file.touched_bits)
+                if all(v < file._limit for v in file.read_block(0, 2 * n)):
+                    return st_nonzero_mod(graph, s, t, n, q, file,
+                                          steps=run.steps, meter=run.meter)
+                return None
+
+            zeta = _Shift(file, [range(2 * n)], beta).run(scan_and_count)
+            run.steps.add(2 * n)
+            touched = max(touched, file.touched_bits)
             if zeta is None:
                 aborted = True
                 verdict = VERDICT_ABORT
@@ -635,7 +711,8 @@ def connect_revertible(
     rng = random.Random(seed)
     iters = iteration_count(n, kappa)
     m = graph.edge_count()
-    rel_regs = [i * n_ids + v for i in range(T + 1) for v in relevant]
+    layer_regs = [[i * n_ids + v for v in relevant] for i in range(T + 1)]
+    rel_count = (T + 1) * len(relevant)
     relevant_set = set(relevant)
     full = (1 << ell) - 1
     verdict = VERDICT_NO_PATH
@@ -652,7 +729,7 @@ def connect_revertible(
             q = rng.randrange(2, q_hi)
             beta = rng.getrandbits(ell)
             file = allocate_registers(tape, 0, (T + 1) * n_ids, ell, q)
-            shift_active = False
+            shift = _Shift(file, layer_regs, beta)
             state_box: list[LayeredPushState | None] = [None]
 
             def query(bit_index: int) -> int:
@@ -667,10 +744,9 @@ def connect_revertible(
                     current = file.read(reg)
                 else:
                     current = state.original_value(layer, v)
-                if shift_active:
+                if layer < shift.done:
                     current = (current - beta) & full
-                off, _w = file.span_of(reg)
-                return (current >> (bit_index - off)) & 1
+                return (current >> (bit_index - reg * ell)) & 1
 
             def fire(stage: str) -> None:
                 nonlocal pause_id
@@ -682,26 +758,21 @@ def connect_revertible(
                 state_box[0] = state
                 fire(stage)
 
-            file.shift_indices(rel_regs, beta)
-            run.steps.add(len(rel_regs))
-            shift_active = True
-            alpha = None
-            try:
+            def scan_and_count() -> int | None:
+                run.steps.add(rel_count)
                 fire("shifted")
-                if all(file.read(r) < file._limit for r in rel_regs):
-                    alpha = st_count_mod(
+                limit = file._limit
+                if all(max(file.gather(regs)) < limit for regs in layer_regs):
+                    return st_count_mod(
                         looped, s, t, T, q, file, relevant=relevant,
                         steps=run.steps, meter=run.meter, pause=pause,
                     )
-            finally:
-                # a raising hook or budget leaves the push state mid-run
-                if state_box[0] is not None:
-                    state_box[0].unwind()
-                    state_box[0] = None
-                file.shift_indices(rel_regs, (-beta) & full)
-                run.steps.add(len(rel_regs))
-                shift_active = False
-                touched = max(touched, file.touched_bits)
+                return None
+
+            alpha = shift.run(scan_and_count)
+            state_box[0] = None
+            run.steps.add(rel_count)
+            touched = max(touched, file.touched_bits)
             if alpha is None:
                 fire("abort-unshifted")
                 aborted = True

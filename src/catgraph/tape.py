@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -80,15 +80,21 @@ class CatalyticTape:
         if extra and self._buf:
             self._buf[-1] &= 0xFF >> extra
 
+    def _span_error(self, offset: int, width: int) -> SpanError:
+        return SpanError(
+            f"span [{offset}, {offset + width}) outside tape of {self.nbits} bits"
+        )
+
     def _check_span(self, offset: int, width: int) -> None:
         if offset < 0 or width < 0 or offset + width > self.nbits:
-            raise SpanError(
-                f"span [{offset}, {offset + width}) outside tape of {self.nbits} bits"
-            )
+            raise self._span_error(offset, width)
 
+    # read_bits and write_bits repeat the _check_span test inline: they are
+    # the innermost calls of every register operation
     def read_bits(self, offset: int, width: int) -> int:
         """Little-endian read of `width` bits starting at `offset`."""
-        self._check_span(offset, width)
+        if offset < 0 or width < 0 or offset + width > self.nbits:
+            raise self._span_error(offset, width)
         if width == 0:
             return 0
         first = offset >> 3
@@ -97,7 +103,8 @@ class CatalyticTape:
         return (chunk >> (offset & 7)) & ((1 << width) - 1)
 
     def write_bits(self, offset: int, width: int, value: int) -> None:
-        self._check_span(offset, width)
+        if offset < 0 or width < 0 or offset + width > self.nbits:
+            raise self._span_error(offset, width)
         if width == 0:
             return
         if value < 0 or value >> width:
@@ -303,19 +310,69 @@ class RegisterFile:
 
     def shift_all(self, beta: int) -> None:
         """Add beta mod 2**width to every register; inverse is 2**width - beta."""
-        if not 0 <= beta < (1 << self.width):
-            raise ValueError("shift must be in [0, 2**width)")
         self.shift_indices(range(self.count), beta)
 
-    def shift_indices(self, indices: Iterable[int], beta: int) -> None:
+    def shift_indices(self, indices: Sequence[int], beta: int) -> None:
+        """Add beta mod 2**width to the listed registers, as one `scatter`."""
         if not 0 <= beta < (1 << self.width):
             raise ValueError("shift must be in [0, 2**width)")
         mask = self._mask
-        for idx in indices:
-            off = self._offset(idx)
-            value = (self.tape.read_bits(off, self.width) + beta) & mask
-            self.tape.write_bits(off, self.width, value)
-            self._dirty.add(idx)
+        self.scatter(indices, [(v + beta) & mask for v in self.gather(indices)])
+
+    def _index_error(self, lo: int, hi: int) -> IndexError:
+        bad = lo if lo < 0 else hi
+        return IndexError(f"register {bad} out of range [0, {self.count})")
+
+    def gather(self, indices: Sequence[int]) -> list[int]:
+        """Values of the listed registers via one tape read over their span.
+
+        The span runs from the lowest to the highest index, so callers keep
+        the indices close together (one layer of a layered file).
+        """
+        if not indices:
+            return []
+        lo, hi = min(indices), max(indices)
+        if lo < 0 or hi >= self.count:
+            raise self._index_error(lo, hi)
+        w, mask = self.width, self._mask
+        blob = self.tape.read_bits(self.base + lo * w, (hi - lo + 1) * w)
+        return [(blob >> ((i - lo) * w)) & mask for i in indices]
+
+    def scatter(self, indices: Sequence[int], values: Sequence[int]) -> None:
+        """Write the listed registers via one read and one write of their span.
+
+        Only the listed registers change (the span is patched with an XOR
+        delta; when they fill it, it is written without the read) and only
+        they become dirty. Indices and values are all checked before the
+        write, so a rejected call leaves the tape unchanged.
+        """
+        if len(values) != len(indices):
+            raise ValueError(f"{len(values)} values for {len(indices)} registers")
+        if not indices:
+            return
+        lo, hi = min(indices), max(indices)
+        if lo < 0 or hi >= self.count:
+            raise self._index_error(lo, hi)
+        if len(set(indices)) != len(indices):
+            raise ValueError("scatter indices must be distinct")
+        w, mask = self.width, self._mask
+        if min(values) < 0 or max(values) > mask:
+            bad = next(v for v in values if v < 0 or v > mask)
+            raise ValueError(f"value {bad} does not fit in {w} bits")
+        off, span = self.base + lo * w, (hi - lo + 1) * w
+        if hi - lo + 1 == len(indices):
+            blob = 0
+            for i, v in zip(indices, values):
+                blob |= v << ((i - lo) * w)
+        else:
+            blob = self.tape.read_bits(off, span)
+            delta = 0
+            for i, v in zip(indices, values):
+                pos = (i - lo) * w
+                delta |= (((blob >> pos) & mask) ^ v) << pos
+            blob ^= delta
+        self.tape.write_bits(off, span, blob)
+        self._dirty.update(indices)
 
     def read_block(self, start: int, count: int) -> list[int]:
         """Values of registers start..start+count-1 via one tape read."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 from catgraph.errors import WalkCycleError
 from catgraph.graphs import AdjacencyGraph, GraphOracle
@@ -145,3 +146,34 @@ class LoggingGraph(GraphOracle):
     def outnbr(self, v: int, i: int) -> int | None:
         self.log.append(("outnbr", v, i))
         return self.base.outnbr(v, i)
+
+
+class InjectedFault(Exception):
+    """Raised by `fail_at` in place of the call it cuts off."""
+
+
+class CallCounter:
+    def __init__(self):
+        self.calls = 0
+
+
+@contextmanager
+def fail_at(owner, attr: str, k: int | None):
+    """Replace `owner.attr` so that its k-th call (from 0) raises
+    InjectedFault instead of running; every other call runs as usual. With
+    k = None nothing raises. Yields a counter of the calls made."""
+    original = vars(owner)[attr]
+    counter = CallCounter()
+
+    def wrapper(*args, **kwargs):
+        index = counter.calls
+        counter.calls += 1
+        if index == k:
+            raise InjectedFault(f"{attr} call {k}")
+        return original(*args, **kwargs)
+
+    setattr(owner, attr, wrapper)
+    try:
+        yield counter
+    finally:
+        setattr(owner, attr, original)

@@ -24,7 +24,7 @@ from catgraph.oracles import bfs_reach, count_paths_layers, zeta_table
 from catgraph.tape import CatalyticTape, WorkspaceMeter, allocate_registers, make_tape
 from catgraph.walks import dag_tape_bits, estimate_dag, estimate_general, estimate_stationary
 
-from helpers import TAPE_PROFILES, random_graph
+from helpers import TAPE_PROFILES, InjectedFault, fail_at, random_graph
 
 
 def valid_file(tape, base, count, width, q):
@@ -136,6 +136,42 @@ def test_batched_layer_push_equals_sequential_edge_pushes():
             for u in g.in_neighbors(v):
                 sfile.add_reg(n + v, u, 1)
         assert tape.digest() == shadow.digest()
+
+
+def test_relevant_layer_push_equals_sequential_edge_pushes():
+    # random sparse relevant sets: every in-neighbor of a relevant vertex is
+    # relevant, other vertices keep arbitrary edges among themselves
+    rng = random.Random(4)
+    for trial in range(60):
+        n = rng.randint(2, 9)
+        relevant = sorted(rng.sample(range(n), rng.randint(1, n)))
+        rel = set(relevant)
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v
+                 and (u in rel or v not in rel) and rng.random() < 0.4]
+        g = AdjacencyGraph.from_edges(n, edges)
+        T = rng.randint(1, 3)
+        q = rng.randint(2, 300)
+        tape, clamped = layered_file(g, T, q, seed=trial)
+        # a fresh view, so only the push marks registers dirty
+        file = allocate_registers(tape, 0, clamped.count, clamped.width, q)
+        shadow = CatalyticTape(tape.nbits, bytearray(tape.snapshot()))
+        sfile = allocate_registers(shadow, 0, file.count, file.width, q)
+        state = LayeredPushState(g, 0, T, file, relevant=relevant)
+        i = rng.randrange(T)
+        sign = rng.choice((1, -1))
+        state.layer_push(i, reverse=sign < 0)
+        for v in relevant:
+            for u in g.in_neighbors(v):
+                sfile.add_reg((i + 1) * n + v, i * n + u, sign)
+        assert tape.snapshot() == shadow.snapshot(), trial
+        assert file.touched_bits == sfile.touched_bits, trial
+
+
+def test_relevant_set_must_hold_its_in_neighbors():
+    g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
+    tape, file = layered_file(g, 1, 7)
+    with pytest.raises(ValueError):
+        LayeredPushState(g, 0, 1, file, relevant=[1, 2])
 
 
 # --- two-bank nonzero ---------------------------------------------------------
@@ -460,6 +496,45 @@ def test_revertible_raising_pause_hook_restores_tape():
         with pytest.raises(HookFault):
             connect_revertible(g, 0, 2, seed=1, tape=tape, pause_hook=hook)
         assert tape.digest() == before, point.stage
+
+
+def _fault_sweep_cases():
+    g = AdjacencyGraph.from_edges(3, [(0, 1)])
+    drivers = {
+        "det": (connect_det_tape_bits(g.n),
+                lambda tape, meter: connect_det(g, 0, 2, tape=tape, meter=meter)),
+        "rand": (connect_rand_tape_bits(g.n),
+                 lambda tape, meter: connect_rand(g, 0, 2, seed=1, kappa=1.0,
+                                                  tape=tape, meter=meter)),
+        "revertible": (connect_revertible_tape_bits(g),
+                       lambda tape, meter: connect_revertible(
+                           g, 0, 2, seed=1, kappa=1.0, tape=tape, meter=meter)),
+    }
+    targets = {
+        "write_bits": (CatalyticTape, "write_bits"),
+        "charge": (WorkspaceMeter, "charge"),
+    }
+    return [pytest.param(drivers[d], targets[t], id=f"{d}-{t}")
+            for d in drivers for t in targets]
+
+
+@pytest.mark.parametrize("driver, target", _fault_sweep_cases())
+def test_fault_at_every_write_and_charge_restores_tape(driver, target):
+    # every register write (write_block, scatter, write) is one tape write,
+    # so raising at the k-th tape write, for every k, covers all of them
+    bits, run = driver
+    tape = make_tape(bits, "random", 1)
+    before = tape.digest()
+    with fail_at(*target, None) as counter:
+        ans = run(tape, WorkspaceMeter())
+    assert ans.verdict == "no-path" and ans.metrics.tape_restored
+    assert counter.calls > 1
+    for k in range(counter.calls):
+        meter = WorkspaceMeter()
+        with fail_at(*target, k), pytest.raises(InjectedFault):
+            run(tape, meter)
+        assert tape.digest() == before, k
+        assert meter.bits_in_use == 0, k
 
 
 def test_drivers_reject_explicit_self_loops():

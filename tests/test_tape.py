@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,6 +266,87 @@ def test_block_ops_match_scalar_ops():
     for i in range(9):
         file.write(i, file.read(i) % file._limit)
     assert file.residues_block(0, 9) == [file.residue(i) for i in range(9)]
+
+
+def _tape_bits(tape):
+    return [tape.read_bit(b) for b in range(tape.nbits)]
+
+
+def test_gather_scatter_round_trip_against_scalar_ops():
+    rng = random.Random(12)
+    for width in range(1, 71):
+        base = rng.randrange(1, 8) + 8 * rng.randrange(3)  # never byte-aligned
+        count = rng.randint(1, 12)
+        tape = make_tape(base + count * width + rng.randrange(9), "random", width)
+        file = allocate_registers(tape, base, count, width, 2)
+        # any order; half of the lists fill their span
+        idx = rng.sample(range(count), count if width % 2 else rng.randint(1, count))
+        assert file.gather(idx) == [file.read(i) for i in idx]
+        values = [rng.getrandbits(width) for _ in idx]
+        shadow = CatalyticTape(tape.nbits, bytearray(tape.snapshot()))
+        sfile = allocate_registers(shadow, base, count, width, 2)
+        file.scatter(idx, values)
+        for i, v in zip(idx, values):
+            sfile.write(i, v)
+        assert tape.snapshot() == shadow.snapshot(), width
+        assert file.gather(idx) == values
+
+
+def test_scatter_changes_and_dirties_only_listed_registers():
+    rng = random.Random(13)
+    for trial in range(40):
+        width = rng.randint(1, 70)
+        base = rng.randrange(40)
+        count = rng.randint(2, 10)
+        tape = make_tape(base + count * width + 40, "random", trial)
+        file = allocate_registers(tape, base, count, width, 2)
+        idx = sorted(rng.sample(range(count), rng.randint(1, count - 1)))
+        old = _tape_bits(tape)
+        file.scatter(idx, [rng.getrandbits(width) for _ in idx])
+        new = _tape_bits(tape)
+        listed = {b for i in idx for b in range(base + i * width, base + (i + 1) * width)}
+        assert all(old[b] == new[b] for b in range(tape.nbits) if b not in listed)
+        assert file._dirty == set(idx)
+        assert file.touched_bits == len(idx) * width
+        file.gather(range(count))
+        assert file._dirty == set(idx)
+
+
+def test_shift_indices_dirties_only_listed_registers():
+    tape = make_tape(60, "random", seed=14)
+    file = allocate_registers(tape, 3, 11, 5, 7)
+    values = [file.read(i) for i in range(11)]
+    file.shift_indices([7, 2, 9], 6)
+    assert file._dirty == {2, 7, 9}
+    assert [file.read(i) for i in range(11)] == [
+        (v + 6) % 32 if i in (2, 7, 9) else v for i, v in enumerate(values)
+    ]
+
+
+def test_gather_scatter_reject_bad_input_without_writing():
+    tape = make_tape(100, "random", seed=15)
+    file = allocate_registers(tape, 5, 9, 10, 1000)
+    before = tape.snapshot()
+    for bad in ([0, 9], [-1, 3]):
+        with pytest.raises(IndexError):
+            file.gather(bad)
+        with pytest.raises(IndexError):
+            file.scatter(bad, [1, 2])
+    with pytest.raises(ValueError):
+        file.scatter([1, 4, 6], [5, 1 << 10, 7])  # over-wide value last but one
+    with pytest.raises(ValueError):
+        file.scatter([1, 4], [-1, 7])
+    with pytest.raises(ValueError):
+        file.scatter([3, 3], [1, 2])
+    with pytest.raises(ValueError):
+        file.scatter([1, 2], [1])
+    with pytest.raises(ValueError):
+        file.shift_indices([1, 2], 1 << 10)
+    assert tape.snapshot() == before
+    assert file.touched_registers == 0
+    assert file.gather([]) == []
+    file.scatter([], [])
+    assert tape.snapshot() == before
 
 
 def test_stream_residue_matches_direct_mod():
