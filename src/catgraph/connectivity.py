@@ -42,11 +42,6 @@ VERDICT_ABORT = "abort"
 DEFAULT_KAPPA = 8.0
 
 
-def path_count_bound(n: int, T: int) -> int:
-    """Bound on the number of length-T paths between any two vertices."""
-    return n**T
-
-
 def nonzero_value_bound(n: int) -> int:
     """Upper bound (exclusive) used to size exact registers: (n+1)^n + 1."""
     return (n + 1) ** n + 1
@@ -86,9 +81,10 @@ def _push_layer(
     destination with sources is validated before anything is written.
 
     `src` and `dst` are either the first indices of two blocks of
-    len(sources) registers, moved with `read_block`/`write_block`, or lists
-    of register indices, moved with one `gather` each and one `scatter` of
-    `dst`, so registers left out of the lists stay untouched and clean.
+    len(sources) registers, moved with `read_block`/`write_block` (the two
+    banks of `ParityProgram`), or lists of register indices, moved with one
+    `gather` each and one `scatter` of `dst`, so registers left out of the
+    lists stay untouched and clean (the layers of `LayeredPushState`).
     """
     q, limit = file.modulus, file._limit
     block = isinstance(src, int)
@@ -268,23 +264,18 @@ class LayeredPushState:
         self.steps = steps or StepCounter()
         self.pause = pause
         ids = range(n) if relevant is None else sorted(relevant)
-        self.relevant_set = None if relevant is None else set(relevant)
+        self.relevant_set = set(ids)
         self.in_lists = {v: graph.in_neighbors(v) for v in ids}
-        if relevant is None:
-            # whole layers: block starts, sources by vertex id
-            self._src = self._dst = [i * n for i in range(T + 1)]
-            self._sources = list(self.in_lists.values())
-        else:
-            if any(u not in self.relevant_set
-                   for l in self.in_lists.values() for u in l):
-                raise ValueError("every in-neighbor of a relevant vertex must be relevant")
-            # per layer, the relevant registers (sources) and those of them
-            # with in-neighbors (destinations); sources by position in ids
-            pos = {v: k for k, v in enumerate(ids)}
-            dsts = [v for v in ids if self.in_lists[v]]
-            self._src = [[i * n + v for v in ids] for i in range(T + 1)]
-            self._dst = [[i * n + v for v in dsts] for i in range(T + 1)]
-            self._sources = [[pos[u] for u in self.in_lists[v]] for v in dsts]
+        if any(u not in self.relevant_set
+               for l in self.in_lists.values() for u in l):
+            raise ValueError("every in-neighbor of a relevant vertex must be relevant")
+        # per layer, the relevant registers (sources) and those of them with
+        # in-neighbors (destinations); sources by position in ids
+        pos = {v: k for k, v in enumerate(ids)}
+        dsts = [v for v in ids if self.in_lists[v]]
+        self._src = [[i * n + v for v in ids] for i in range(T + 1)]
+        self._dst = [[i * n + v for v in dsts] for i in range(T + 1)]
+        self._sources = [[pos[u] for u in self.in_lists[v]] for v in dsts]
         self.pushes_per_layer = sum(len(l) for l in self.in_lists.values())
         self.b_applied = 0
         self.dirty_hi = 0
@@ -340,7 +331,7 @@ class LayeredPushState:
         """
         file = self.file
         value = file.read(self._reg(i, v))
-        if self.relevant_set is not None and v not in self.relevant_set:
+        if v not in self.relevant_set:
             return value
         q, limit = file.modulus, file._limit
         delta = 0

@@ -137,14 +137,6 @@ class CatalyticTape:
             raise ValueError("snapshot does not match tape length")
         self._buf[:] = snap
 
-    def dump_hex(self) -> str:
-        """Debug dump: one hex line per 64 tape bits."""
-        lines = []
-        for off in range(0, self.nbits, 64):
-            width = min(64, self.nbits - off)
-            lines.append(f"{self.read_bits(off, width):016x}")
-        return "\n".join(lines)
-
 
 class WorkspaceMeter:
     """Tracks non-catalytic workspace bits: current usage and high-water mark."""
@@ -439,16 +431,8 @@ class RegisterFile:
         return self.tape.read_bits(off, gw)
 
     @property
-    def touched_registers(self) -> int:
-        return len(self._dirty)
-
-    @property
     def touched_bits(self) -> int:
         return len(self._dirty) * self.width
-
-    def span_of(self, idx: int) -> tuple[int, int]:
-        """(bit offset, width) of a register on the tape."""
-        return self._offset(idx), self.width
 
     def register_at_bit(self, bit_index: int) -> int | None:
         """Index of the register whose span covers the tape bit, if any."""

@@ -16,11 +16,12 @@ snapshot and reports the in-band irreversibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import SinkVertexError, WalkCycleError
 from .graphs import GraphOracle, LayeredLiftView, lift_layered, with_sink_loops
 from .metrics import DriverRun, RunMetrics, StepCounter
-from .tape import CatalyticTape, WorkspaceMeter, ceil_log2
+from .tape import CatalyticTape, RegisterFile, WorkspaceMeter, ceil_log2
 
 FWD = "fwd"
 REV = "rev"
@@ -45,38 +46,29 @@ def register_width(K: int) -> int:
     return max(1, ceil_log2(max(K, 2)))
 
 
-class WalkRegisters:
+class WalkRegisters(RegisterFile):
     """One width-bit register per vertex, packed on the tape from `base`.
 
-    Hot loops run against a loaded list of values; `flush` writes the list
-    back so the tape is authoritative at every API boundary.
+    A register file with modulus 2**width. Hot loops run against a loaded
+    list of values; `flush` writes back the registers marked touched, so
+    the tape is authoritative at every API boundary.
     """
 
+    __slots__ = ()
+
     def __init__(self, tape: CatalyticTape, base: int, count: int, width: int):
-        if width < 1:
-            raise ValueError("width must be at least 1")
-        tape._check_span(base, count * width)
-        self.tape = tape
-        self.base = base
-        self.count = count
-        self.width = width
-        self._touched = set()
+        super().__init__(tape, base, count, width, 1 << width)
 
     def load(self) -> list[int]:
-        t, w = self.tape, self.width
-        return [t.read_bits(self.base + i * w, w) for i in range(self.count)]
+        return self.read_block(0, self.count)
 
     def flush(self, values: list[int]) -> None:
-        t, w = self.tape, self.width
-        for i, v in enumerate(values):
-            t.write_bits(self.base + i * w, w, v)
+        """Write the marked registers' values with one `scatter`."""
+        marked = sorted(self._dirty)
+        self.scatter(marked, [values[i] for i in marked])
 
     def mark_touched(self, indices) -> None:
-        self._touched.update(indices)
-
-    @property
-    def touched_bits(self) -> int:
-        return len(self._touched) * self.width
+        self._dirty.update(indices)
 
 
 @dataclass
@@ -173,14 +165,6 @@ def _rotor_walks(g: GraphOracle, s: int, mode: str, walks: int,
     return ends
 
 
-def _walk(g: GraphOracle, s: int, mode: str, values: list[int], width: int,
-          counters: VisitCounters | None, touched: set | None,
-          steps: StepCounter | None) -> int:
-    """One walk over the loaded register values; returns the sink reached."""
-    (end,) = _rotor_walks(g, s, mode, 1, values, width, counters, touched, steps)
-    return end
-
-
 def walk_once(
     g: GraphOracle,
     s: int,
@@ -197,9 +181,9 @@ def walk_once(
         raise ValueError(f"mode must be {FWD!r} or {REV!r}")
     values = regs.load()
     touched: set = set()
-    end = _walk(g, s, mode, values, regs.width, counters, touched, None)
-    regs.flush(values)
+    (end,) = _rotor_walks(g, s, mode, 1, values, regs.width, counters, touched, None)
     regs.mark_touched(touched)
+    regs.flush(values)
     return end
 
 
@@ -257,8 +241,8 @@ def estimate_dag(
         values = regs.load()
         ends = _rotor_walks(g, s, FWD, K, values, width, counters, touched, run.steps)
         _rotor_walks(g, s, REV, K, values, width, None, touched, run.steps)
-        regs.flush(values)
         regs.mark_touched(touched)
+        regs.flush(values)
     n_reach = ends.get(t, 0)
     if counters is not None:
         counters.n_reach = n_reach
@@ -339,45 +323,46 @@ def rotor_widths(g: GraphOracle) -> list[int]:
 class RotorRegisters:
     """Variable-width rotors: vertex v stores a value in [outdeg(v)].
 
-    Spans are packed in vertex order with the widths of `rotor_widths`; a
-    raw span is interpreted mod outdeg(v).
+    Spans are packed in vertex order with the widths of `rotor_widths` into
+    the one span [base, end), v's at `offsets[v]` bits in, so each method is
+    one tape read and/or write. A raw span is interpreted mod outdeg(v).
     """
 
     def __init__(self, tape: CatalyticTape, g: GraphOracle, base: int = 0):
         self.tape = tape
         self.g = g
-        self.offsets = []
+        self.base = base
         self.widths = rotor_widths(g)
-        off = base
-        for w in self.widths:
-            self.offsets.append(off)
-            off += w
-        self.end = off
-        tape._check_span(base, off - base)
-
-    def load(self) -> list[int]:
-        out = []
-        for v in range(self.g.n):
-            raw = self.tape.read_bits(self.offsets[v], self.widths[v])
-            d = self.g.outdeg(v)
-            out.append(raw % d if d > 0 else raw)
-        return out
-
-    def flush(self, values: list[int], only=None) -> None:
-        which = range(self.g.n) if only is None else only
-        for v in which:
-            self.tape.write_bits(self.offsets[v], self.widths[v], values[v])
+        self.offsets = list(accumulate(self.widths, initial=0))
+        self.end = base + self.offsets.pop()
+        tape._check_span(base, self.end - base)
 
     def snapshot_spans(self) -> list[int]:
-        return [self.tape.read_bits(self.offsets[v], self.widths[v]) for v in range(self.g.n)]
+        blob = self.tape.read_bits(self.base, self.end - self.base)
+        return [(blob >> off) & ((1 << w) - 1)
+                for off, w in zip(self.offsets, self.widths)]
+
+    def load(self) -> list[int]:
+        outdeg = self.g.outdeg
+        return [raw % d if (d := outdeg(v)) > 0 else raw
+                for v, raw in enumerate(self.snapshot_spans())]
+
+    def flush(self, values: list[int], only=None) -> None:
+        """Write the listed rotors (all by default); values are checked first."""
+        span = self.end - self.base
+        if only is None:
+            only, blob = range(self.g.n), 0
+        else:
+            blob = self.tape.read_bits(self.base, span)
+        for v in only:
+            off, w, x = self.offsets[v], self.widths[v], values[v]
+            if x < 0 or x >> w:
+                raise ValueError(f"rotor value {x} does not fit in {w} bits")
+            blob = blob & ~(((1 << w) - 1) << off) | x << off
+        self.tape.write_bits(self.base, span, blob)
 
     def restore_spans(self, snap: list[int]) -> None:
-        for v, val in enumerate(snap):
-            self.tape.write_bits(self.offsets[v], self.widths[v], val)
-
-    @property
-    def total_bits(self) -> int:
-        return self.end - self.offsets[0] if self.offsets else 0
+        self.flush(snap)
 
 
 def stationary_tape_bits(g: GraphOracle) -> int:
@@ -439,26 +424,33 @@ def estimate_stationary(
     ) as run:
         snap = rotors.snapshot_spans() if restore else None
         values = rotors.load()
-        for _ in range(t_prime):
-            if v == v_star:
-                n_visit += 1
-            if counts is not None:
-                counts[v] += 1
-            d = g.outdeg(v)
-            r = values[v]
-            values[v] = (values[v] + 1) % d
-            visited.add(v)
-            v = g.outnbr(v, r)
-            run.steps.n += 1
-        # only rotors the walk actually advanced are written back
-        rotors.flush(values, only=sorted(visited))
-        final = rotors.load()
-        if restore:
-            rotors.restore_spans(snap)
+        # restore inside the try and again on the way out of it, so a fault
+        # in the restoring write itself is retried
+        try:
+            for _ in range(t_prime):
+                if v == v_star:
+                    n_visit += 1
+                if counts is not None:
+                    counts[v] += 1
+                d = g.outdeg(v)
+                r = values[v]
+                values[v] = (values[v] + 1) % d
+                visited.add(v)
+                v = g.outnbr(v, r)
+                run.steps.n += 1
+            # only rotors the walk actually advanced are written back, so
+            # `values` is what a fresh `load` would now return
+            rotors.flush(values, only=sorted(visited))
+            if snap is not None:
+                rotors.restore_spans(snap)
+        except BaseException:
+            if snap is not None:
+                rotors.restore_spans(snap)
+            raise
     rho = n_visit / t_prime if t_prime else 0.0
     metrics = run.metrics(
         sum(rotors.widths[u] for u in visited), estimate=rho,
         normalizations=["out-of-band-rotor-restore"] if restore else [],
         extra={"t_prime": t_prime, "in_band_irreversible": True},
     )
-    return StationaryResult(rho, t_prime, counts, final, metrics)
+    return StationaryResult(rho, t_prime, counts, values, metrics)

@@ -41,7 +41,7 @@ from catgraph.walks import (
     REV,
     RotorRegisters,
     WalkRegisters,
-    _walk,
+    _rotor_walks,
     dag_tape_bits,
     estimate_dag,
     estimate_general,
@@ -301,10 +301,10 @@ def test_criterion_08_fairness_and_reversibility(dag_runs):
             before = tape.digest()
             values = regs.load()
             for _ in range(K):
-                _walk(g, 0, FWD, values, width, None, None, None)
+                _rotor_walks(g, 0, FWD, 1, values, width, None, None, None)
             for _ in range(K):
-                _walk(g, 0, REV, values, width, None, None, None)
-            regs.flush(values)
+                _rotor_walks(g, 0, REV, 1, values, width, None, None, None)
+            regs.write_block(0, values)
             assert tape.digest() == before, (K, trial)
     report(8, "per-vertex transition counts differ by <= 2 on every forward run; "
               "K forward + K reverse leave the register digest unchanged for "

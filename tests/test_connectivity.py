@@ -13,7 +13,6 @@ from catgraph.connectivity import (
     connect_revertible_tape_bits,
     iteration_count,
     nonzero_value_bound,
-    path_count_bound,
     revert_query,
     st_count_mod,
     st_nonzero_mod,
@@ -411,7 +410,6 @@ def test_revertible_untouched_region_reads_current_value():
 
 
 def test_bounds_helpers():
-    assert path_count_bound(3, 2) == 9
     assert nonzero_value_bound(2) == 10
     assert connect_det_tape_bits(2) == 2 * 2 * 4  # l = ceil(log2 10) = 4
 

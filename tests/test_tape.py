@@ -343,7 +343,7 @@ def test_gather_scatter_reject_bad_input_without_writing():
     with pytest.raises(ValueError):
         file.shift_indices([1, 2], 1 << 10)
     assert tape.snapshot() == before
-    assert file.touched_registers == 0
+    assert file.touched_bits == 0
     assert file.gather([]) == []
     file.scatter([], [])
     assert tape.snapshot() == before
@@ -405,14 +405,6 @@ def test_digest_equality_and_snapshot():
     assert a.digest() != b.digest()
     b.restore(a.snapshot())
     assert a.digest() == b.digest()
-
-
-def test_dump_hex_lines():
-    tape = CatalyticTape.zeros(130)
-    tape.write_bits(64, 8, 0xAB)
-    lines = tape.dump_hex().splitlines()
-    assert len(lines) == 3
-    assert lines[1] == f"{0xab:016x}"
 
 
 def test_profiles():

@@ -37,8 +37,13 @@ def test_trace_targets_exist_and_record_every_layer():
         walks.estimate_stationary(ring, 0, 2, 0.5)
     finally:
         uninstall()
-    groups = spans.summarize(tracer.names, tracer.arrays())["groups"]
+    arrays = tracer.arrays()
+    summary = spans.summarize(tracer.names, arrays)
+    groups = summary["groups"]
     for group in ("connectivity.iteration", "connectivity.phase",
                   "connectivity.layer_push", "walks.registers"):
         assert groups[group]["calls"] > 0, group
     assert groups["connectivity.layer_push"]["amount"] > 0
+    registers = summary["span_group"] == summary["group_ids"]["walks.registers"]
+    drivers = {tracer.call_driver[c] for c in arrays["call"][registers]}
+    assert {"estimate_dag", "estimate_general", "estimate_stationary"} <= drivers

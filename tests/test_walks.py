@@ -36,8 +36,10 @@ from catgraph.walks import (
 
 from helpers import (
     TAPE_PROFILES,
+    InjectedFault,
     LoggingGraph,
     ergodic_graph,
+    fail_at,
     figure_dag,
     out_regular_graph,
     random_dag,
@@ -59,7 +61,7 @@ def test_walk_once_figure_counts():
     g = figure_dag()
     tape = CatalyticTape.zeros(16)
     regs = WalkRegisters(tape, 0, 8, 2)
-    regs.flush(FIGURE_INIT)
+    regs.write_block(0, FIGURE_INIT)
     counters = VisitCounters.for_graph(g)
     for _ in range(3):
         walk_once(g, 0, FWD, regs, counters)
@@ -80,6 +82,25 @@ def test_walk_forward_then_reverse_restores():
         sink_r = walk_once(g, 0, REV, regs)
         assert sink_f == sink_r
         assert tape.digest() == before
+
+
+def test_walk_registers_flush_writes_only_marked_registers():
+    rng = random.Random(12)
+    for width in (1, 3, 7):
+        count = 11
+        tape = make_tape(5 + count * width + 9, "random", width)
+        regs = WalkRegisters(tape, 5, count, width)
+        before = tape.read_bits(0, tape.nbits)
+        marked = set(rng.sample(range(count), 4))
+        values = [rng.randrange(1 << width) for _ in range(count)]
+        regs.mark_touched(marked)
+        regs.flush(values)
+        want = before
+        for i in marked:
+            off = 5 + i * width
+            want = want & ~(((1 << width) - 1) << off) | values[i] << off
+        assert tape.read_bits(0, tape.nbits) == want
+        assert regs.touched_bits == len(marked) * width
 
 
 def test_walk_cycle_guard():
@@ -169,6 +190,48 @@ def test_walk_kernel_matches_reference_walks():
     assert lifted_steps > 0
 
 
+_SWEEP_GRAPH = AdjacencyGraph.from_edges(
+    4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 0)])
+_SWEEP_DAG = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+
+
+def _walk_fault_cases():
+    drivers = {
+        "dag": (dag_tape_bits(_SWEEP_DAG, 0.5),
+                lambda tape, meter: estimate_dag(_SWEEP_DAG, 0, 3, 0.5, tape,
+                                                 meter=meter)),
+        "general": (general_tape_bits(_SWEEP_GRAPH, 2, 0.5),
+                    lambda tape, meter: estimate_general(_SWEEP_GRAPH, 0, 3, 2, 0.5,
+                                                         tape, meter=meter)),
+        "stationary": (stationary_tape_bits(_SWEEP_GRAPH),
+                       lambda tape, meter: estimate_stationary(
+                           _SWEEP_GRAPH, 0, 2, 0.5, tape, restore=True, meter=meter)),
+    }
+    targets = {
+        "write_bits": (CatalyticTape, "write_bits"),
+        "charge": (WorkspaceMeter, "charge"),
+    }
+    return [pytest.param(drivers[d], targets[t], id=f"{d}-{t}")
+            for d in drivers for t in targets]
+
+
+@pytest.mark.parametrize("driver, target", _walk_fault_cases())
+def test_walk_fault_at_every_write_and_charge_restores_tape(driver, target):
+    bits, run = driver
+    tape = make_tape(bits, "random", 1)
+    before = tape.digest()
+    with fail_at(*target, None) as counter:
+        res = run(tape, WorkspaceMeter())
+    assert res.metrics.tape_restored
+    assert counter.calls > 0
+    for k in range(counter.calls):
+        meter = WorkspaceMeter()
+        with fail_at(*target, k), pytest.raises(InjectedFault):
+            run(tape, meter)
+        assert tape.digest() == before, k
+        assert meter.bits_in_use == 0, k
+
+
 def test_simulation_count_and_width():
     assert simulation_count(12, 0.1) == 240
     assert simulation_count(0, 0.5) == 1  # eps >= 2m clamps K to 1
@@ -254,13 +317,11 @@ def test_repeated_walks_reverse_in_bulk(k):
     regs = WalkRegisters(tape, 0, g.n, width)
     before = tape.digest()
     values = regs.load()
-    from catgraph.walks import _walk
-
     for _ in range(k):
-        _walk(g, 0, FWD, values, width, None, None, None)
+        _rotor_walks(g, 0, FWD, 1, values, width, None, None, None)
     for _ in range(k):
-        _walk(g, 0, REV, values, width, None, None, None)
-    regs.flush(values)
+        _rotor_walks(g, 0, REV, 1, values, width, None, None, None)
+    regs.write_block(0, values)
     assert tape.digest() == before
 
 
@@ -409,6 +470,52 @@ def test_stationary_without_restore_leaves_unvisited_rotors_alone():
     after = rot.snapshot_spans()
     assert after[2] == before[2]
     assert res.metrics.catalytic_bits <= rot.widths[0] + rot.widths[1]
+
+
+def _mixed_width_graph(rng, shift, n=17):
+    # every out-degree 1..16 occurs, so rotor widths run from 1 to 4 bits
+    edges = []
+    for u in range(n):
+        d = 1 + (5 * u + shift) % 16
+        edges.extend((u, v) for v in rng.sample(range(n), d))
+    return AdjacencyGraph.from_edges(n, edges)
+
+
+def _rotor_spans(tape, rot, base):
+    out, off = [], base
+    for w in rot.widths:
+        out.append(tape.read_bits(off, w))
+        off += w
+    return out
+
+
+def test_rotor_registers_move_one_span_at_unaligned_base():
+    rng = random.Random(13)
+    for trial in range(6):
+        g = _mixed_width_graph(rng, trial)
+        base = 3 + 2 * trial
+        tape = make_tape(base + stationary_tape_bits(g) + 13, "random", trial)
+        rot = RotorRegisters(tape, g, base)
+        assert set(rot.widths) == {1, 2, 3, 4}
+        raw = _rotor_spans(tape, rot, base)
+        assert rot.snapshot_spans() == raw
+        assert rot.load() == [x % g.outdeg(v) for v, x in enumerate(raw)]
+        whole = tape.read_bits(0, tape.nbits)
+        outside = whole & ~(((1 << (rot.end - base)) - 1) << base)
+        only = sorted(rng.sample(range(g.n), 5))
+        values = [rng.randrange(1 << w) for w in rot.widths]
+        rot.flush(values, only)
+        want = [values[v] if v in only else x for v, x in enumerate(raw)]
+        assert _rotor_spans(tape, rot, base) == want
+        rot.restore_spans(raw)
+        assert tape.read_bits(0, tape.nbits) == whole
+        rot.flush(values)
+        assert _rotor_spans(tape, rot, base) == values
+        after = tape.read_bits(0, tape.nbits)
+        assert after & ~(((1 << (rot.end - base)) - 1) << base) == outside
+        with pytest.raises(ValueError):
+            rot.flush([1 << w for w in rot.widths], [0])
+        assert tape.read_bits(0, tape.nbits) == after
 
 
 def test_rotor_state_collision_demonstrates_information_loss():
