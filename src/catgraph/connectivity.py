@@ -204,29 +204,17 @@ class ParityProgram:
 
 
 def st_nonzero_mod(
-    graph: GraphOracle,
-    s: int,
-    t: int,
-    T: int,
-    q: int,
-    file: RegisterFile,
-    *,
-    steps: StepCounter | None = None,
-    meter: WorkspaceMeter | None = None,
-    _force_extract: str | None = None,
+    prog: ParityProgram, t: int, *, meter: WorkspaceMeter | None = None
 ) -> int:
-    """Reachability witness mod q via the two-bank program.
+    """Reachability witness mod q via a built two-bank program, q its modulus.
 
-    Requires 2n registers valid for q; restores the tape before returning.
-    The underlying integer is nonzero exactly when an s->t path of length
-    <= T exists, so a nonzero residue proves a path; the converse holds when
-    q exceeds the (n+1)^T value bound, and otherwise with good probability
-    over a random q.
+    Requires the program's 2n registers valid for q; restores the tape before
+    returning. The underlying integer is nonzero exactly when an s->t path of
+    length <= T exists, so a nonzero residue proves a path; the converse
+    holds when q exceeds the (n+1)^T value bound, and otherwise with good
+    probability over a random q.
     """
-    prog = ParityProgram(graph, s, T, file, steps)
-    return _extract_residue(
-        prog, file, prog.answer_index(t), q, meter=meter, force=_force_extract
-    )
+    return _extract_residue(prog, prog.answer_index(t), meter)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +229,8 @@ class LayeredPushState:
     and whether the start increment is applied, which is exactly the state
     needed to answer original-value queries between phases and to `unwind`
     a run cut short. Each is updated only after its tape write succeeds.
+    `pause(stage)`, when given, is called at every point where such a query
+    is answered.
     """
 
     def __init__(
@@ -252,7 +242,7 @@ class LayeredPushState:
         *,
         relevant: Sequence[int] | None = None,
         steps: StepCounter | None = None,
-        pause: Callable[["LayeredPushState", str], None] | None = None,
+        pause: Callable[[str], None] | None = None,
     ):
         n = graph.n
         if file.count != (T + 1) * n:
@@ -269,11 +259,12 @@ class LayeredPushState:
         if any(u not in self.relevant_set
                for l in self.in_lists.values() for u in l):
             raise ValueError("every in-neighbor of a relevant vertex must be relevant")
-        # per layer, the relevant registers (sources) and those of them with
-        # in-neighbors (destinations); sources by position in ids
+        # per layer, the relevant registers (the push sources, and what a
+        # driver shifts and scans) and those of them with in-neighbors (the
+        # destinations); sources by position in ids
         pos = {v: k for k, v in enumerate(ids)}
         dsts = [v for v in ids if self.in_lists[v]]
-        self._src = [[i * n + v for v in ids] for i in range(T + 1)]
+        self.layers = [[i * n + v for v in ids] for i in range(T + 1)]
         self._dst = [[i * n + v for v in dsts] for i in range(T + 1)]
         self._sources = [[pos[u] for u in self.in_lists[v]] for v in dsts]
         self.pushes_per_layer = sum(len(l) for l in self.in_lists.values())
@@ -282,14 +273,14 @@ class LayeredPushState:
 
     def _pause(self, stage: str) -> None:
         if self.pause is not None:
-            self.pause(self, stage)
+            self.pause(stage)
 
     def _reg(self, i: int, v: int) -> int:
         return i * self.n_ids + v
 
     def layer_push(self, i: int, reverse: bool = False) -> None:
         """Push (or reverse-push) every edge from layer i into layer i+1."""
-        _push_layer(self.file, self._src[i], self._dst[i + 1], self._sources,
+        _push_layer(self.file, self.layers[i], self._dst[i + 1], self._sources,
                     -1 if reverse else 1)
         self.steps.add(self.pushes_per_layer)
 
@@ -350,6 +341,10 @@ class LayeredPushState:
         b = value % q
         return value - b + (b - delta) % q
 
+    def answer_index(self, t: int) -> int:
+        # length-T path counts live in the last layer
+        return self._reg(self.T, t)
+
 
 def revert_query(state: LayeredPushState, reg: tuple[int, int]) -> int:
     """Original value of register reg=(layer, vertex); see LayeredPushState."""
@@ -357,30 +352,14 @@ def revert_query(state: LayeredPushState, reg: tuple[int, int]) -> int:
 
 
 def st_count_mod(
-    graph: GraphOracle,
-    s: int,
-    t: int,
-    T: int,
-    q: int,
-    file: RegisterFile,
-    *,
-    relevant: Sequence[int] | None = None,
-    steps: StepCounter | None = None,
-    meter: WorkspaceMeter | None = None,
-    pause: Callable[[LayeredPushState, str], None] | None = None,
-    _force_extract: str | None = None,
+    state: LayeredPushState, t: int, *, meter: WorkspaceMeter | None = None
 ) -> int:
-    """(number of length-T s->t paths) mod q via the layered program.
+    """(number of length-T s->t paths) mod q via a built layered program.
 
-    Requires (T+1)*n registers valid for q (the relevant ones when a
-    relevant-vertex list is given); restores the tape before returning.
+    q is the program's modulus. Requires its relevant registers valid for q;
+    restores the tape before returning.
     """
-    state = LayeredPushState(
-        graph, s, T, file, relevant=relevant, steps=steps, pause=pause
-    )
-    return _extract_residue(
-        state, file, state._reg(T, t), q, meter=meter, force=_force_extract
-    )
+    return _extract_residue(state, state.answer_index(t), meter)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +369,10 @@ def st_count_mod(
 
 def _extract_residue(
     prog: ParityProgram | LayeredPushState,
-    file: RegisterFile,
     idx: int,
-    q: int,
-    *,
-    meter: WorkspaceMeter | None = None,
-    force: str | None = None,
+    meter: WorkspaceMeter | None,
 ) -> int:
-    """Difference of the answer register's residues across b=1 and b=0 runs.
+    """Difference of register idx's residues across b=1 and b=0 runs, mod q.
 
     Small (or non-power-of-two) q: one streaming mod-q pass per b, two
     push/reverse pairs in total. Wide power-of-two q: the register is wider
@@ -407,20 +382,19 @@ def _extract_residue(
     Any exception, from a tape write, a meter charge or a pause hook,
     unwinds the program before it propagates, so the registers are restored.
     """
-    pow2 = q & (q - 1) == 0
-    kq = q.bit_length() - 1
+    q = prog.file.modulus
     try:
-        if force == "dance" or (force is None and pow2 and kq > GROUP_BITS):
-            if not pow2:
-                raise ValueError("group-wise extraction requires a power-of-two modulus")
-            return _extract_grouped(prog, file, idx, kq, meter)
-        return _extract_streaming(prog, file, idx, q, meter)
+        if q & (q - 1) == 0 and q.bit_length() - 1 > GROUP_BITS:
+            return _extract_grouped(prog, idx, meter)
+        return _extract_streaming(prog, idx, meter)
     except BaseException:
         prog.unwind()
         raise
 
 
-def _extract_streaming(prog, file, idx, q, meter) -> int:
+def _extract_streaming(prog, idx, meter) -> int:
+    file = prog.file
+    q = file.modulus
     charged = 0
     if meter is not None:
         charged = meter.charge_scalars(
@@ -439,7 +413,9 @@ def _extract_streaming(prog, file, idx, q, meter) -> int:
             meter.release(charged)
 
 
-def _extract_grouped(prog, file, idx, kq, meter) -> int:
+def _extract_grouped(prog, idx, meter) -> int:
+    file = prog.file
+    kq = file.modulus.bit_length() - 1
     ngroups = (kq + GROUP_BITS - 1) // GROUP_BITS
     charged = 0
     if meter is not None:
@@ -569,7 +545,8 @@ def connect_det(
         sigma=2, b=2, edge_cursor=m + n + 2, nonzero_flag=2,
     ) as run:
         file = allocate_registers(tape, 0, 2 * n, ell, q)
-        zeta = st_nonzero_mod(graph, s, t, n, q, file, steps=run.steps, meter=run.meter)
+        prog = ParityProgram(graph, s, n, file, run.steps)
+        zeta = st_nonzero_mod(prog, t, meter=run.meter)
     verdict = VERDICT_PATH if zeta != 0 else VERDICT_NO_PATH
     metrics = run.metrics(file.touched_bits, verdict=verdict,
                           normalizations=["dummy-self-edges"])
@@ -633,8 +610,8 @@ def connect_rand(
             def scan_and_count() -> int | None:
                 run.steps.add(2 * n)
                 if all(v < file._limit for v in file.read_block(0, 2 * n)):
-                    return st_nonzero_mod(graph, s, t, n, q, file,
-                                          steps=run.steps, meter=run.meter)
+                    prog = ParityProgram(graph, s, n, file, run.steps)
+                    return st_nonzero_mod(prog, t, meter=run.meter)
                 return None
 
             zeta = _Shift(file, [range(2 * n)], beta).run(scan_and_count)
@@ -702,9 +679,7 @@ def connect_revertible(
     rng = random.Random(seed)
     iters = iteration_count(n, kappa)
     m = graph.edge_count()
-    layer_regs = [[i * n_ids + v for v in relevant] for i in range(T + 1)]
     rel_count = (T + 1) * len(relevant)
-    relevant_set = set(relevant)
     full = (1 << ell) - 1
     verdict = VERDICT_NO_PATH
     aborted = False
@@ -720,21 +695,15 @@ def connect_revertible(
             q = rng.randrange(2, q_hi)
             beta = rng.getrandbits(ell)
             file = allocate_registers(tape, 0, (T + 1) * n_ids, ell, q)
-            shift = _Shift(file, layer_regs, beta)
-            state_box: list[LayeredPushState | None] = [None]
 
             def query(bit_index: int) -> int:
                 reg = file.register_at_bit(bit_index)
                 if reg is None:
                     return tape.read_bit(bit_index)
                 layer, v = divmod(reg, n_ids)
-                if v not in relevant_set:
+                if v not in state.relevant_set:
                     return tape.read_bit(bit_index)
-                state = state_box[0]
-                if state is None:
-                    current = file.read(reg)
-                else:
-                    current = state.original_value(layer, v)
+                current = state.original_value(layer, v)
                 if layer < shift.done:
                     current = (current - beta) & full
                 return (current >> (bit_index - reg * ell)) & 1
@@ -745,23 +714,24 @@ def connect_revertible(
                     pause_hook(PausePoint(pause_id, iteration, stage), query)
                     pause_id += 1
 
-            def pause(state: LayeredPushState, stage: str) -> None:
-                state_box[0] = state
-                fire(stage)
+            state = LayeredPushState(looped, s, T, file, relevant=relevant,
+                                     steps=run.steps, pause=fire)
+            shift = _Shift(file, state.layers, beta)
 
             def scan_and_count() -> int | None:
                 run.steps.add(rel_count)
                 fire("shifted")
                 limit = file._limit
-                if all(max(file.gather(regs)) < limit for regs in layer_regs):
-                    return st_count_mod(
-                        looped, s, t, T, q, file, relevant=relevant,
-                        steps=run.steps, meter=run.meter, pause=pause,
-                    )
+                if all(max(file.gather(regs)) < limit for regs in state.layers):
+                    return st_count_mod(state, t, meter=run.meter)
                 return None
 
-            alpha = shift.run(scan_and_count)
-            state_box[0] = None
+            try:
+                alpha = shift.run(scan_and_count)
+            finally:
+                # the hook reaches the state again through `query`; dropping
+                # it lets the state go without waiting for the cycle collector
+                state.pause = None
             run.steps.add(rel_count)
             touched = max(touched, file.touched_bits)
             if alpha is None:

@@ -136,65 +136,32 @@ def read_graph_file(path: str) -> AdjacencyGraph:
 
 
 class SelfLoopView(GraphOracle):
-    """Wrapper adding one virtual self-loop at a chosen vertex.
+    """Wrapper adding one virtual self-loop at each listed vertex.
 
-    The loop is appended as the last in/out neighbor of that vertex; it is a
-    new edge even if the base graph already loops there.
+    The loop is the vertex's last out-edge, and it sits in sorted position
+    among the vertex's in-neighbors; it is a new edge even if the base graph
+    already loops there.
     """
 
-    def __init__(self, base: GraphOracle, t: int):
-        if not 0 <= t < base.n:
-            raise ValueError(f"vertex {t} out of range")
-        self.base = base
-        self.t = t
-        self.n = base.n
-
-    def indeg(self, v: int) -> int:
-        return self.base.indeg(v) + (1 if v == self.t else 0)
-
-    def outdeg(self, v: int) -> int:
-        return self.base.outdeg(v) + (1 if v == self.t else 0)
-
-    def innbr(self, v: int, i: int) -> int | None:
-        d = self.base.indeg(v)
-        if v == self.t and i == d:
-            return self.t
-        return self.base.innbr(v, i)
-
-    def outnbr(self, v: int, i: int) -> int | None:
-        d = self.base.outdeg(v)
-        if v == self.t and i == d:
-            return self.t
-        return self.base.outnbr(v, i)
-
-
-def add_virtual_self_loop(base: GraphOracle, t: int) -> SelfLoopView:
-    return SelfLoopView(base, t)
-
-
-class SinkLoopsView(GraphOracle):
-    """Wrapper giving every sink of the base graph a self-loop.
-
-    Makes walks total: each loop is the sink's only out-edge (index 0). The
-    in-neighbor lists stay sorted by merging the loop source into position.
-    """
-
-    def __init__(self, base: GraphOracle):
+    def __init__(self, base: GraphOracle, *vertices: int):
+        for v in vertices:
+            if not 0 <= v < base.n:
+                raise ValueError(f"vertex {v} out of range")
         self.base = base
         self.n = base.n
-        self.loop_vertices = {v for v in range(base.n) if base.outdeg(v) == 0}
+        # each looped vertex -> the index of its loop among its out-edges
+        self.loop_vertices = {v: base.outdeg(v) for v in vertices}
 
     def outdeg(self, v: int) -> int:
-        d = self.base.outdeg(v)
-        return d if d > 0 else 1
+        return self.base.outdeg(v) + (v in self.loop_vertices)
 
     def outnbr(self, v: int, i: int) -> int | None:
-        if v in self.loop_vertices:
-            return v if i == 0 else None
+        if v in self.loop_vertices and i == self.loop_vertices[v]:
+            return v
         return self.base.outnbr(v, i)
 
     def indeg(self, v: int) -> int:
-        return self.base.indeg(v) + (1 if v in self.loop_vertices else 0)
+        return self.base.indeg(v) + (v in self.loop_vertices)
 
     def innbr(self, v: int, i: int) -> int | None:
         if v not in self.loop_vertices:
@@ -203,6 +170,17 @@ class SinkLoopsView(GraphOracle):
         pos = bisect_left(base_in, v)
         merged = base_in[:pos] + [v] + base_in[pos:]
         return merged[i] if 0 <= i < len(merged) else None
+
+
+def add_virtual_self_loop(base: GraphOracle, t: int) -> SelfLoopView:
+    return SelfLoopView(base, t)
+
+
+class SinkLoopsView(SelfLoopView):
+    """A self-loop at every sink of the base graph, so walks are total."""
+
+    def __init__(self, base: GraphOracle):
+        super().__init__(base, *(v for v in range(base.n) if base.outdeg(v) == 0))
 
 
 def with_sink_loops(g: GraphOracle) -> GraphOracle:

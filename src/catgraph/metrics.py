@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -39,9 +38,6 @@ class RunMetrics:
         }
         out.update(self.extra)
         return out
-
-    def to_json(self, stable: bool = False) -> str:
-        return json.dumps(self.to_dict(stable=stable), sort_keys=True)
 
 
 class StepCounter:

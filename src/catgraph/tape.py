@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from contextlib import contextmanager
 from typing import Sequence
 
 from .errors import (
@@ -183,14 +182,6 @@ class WorkspaceMeter:
         total = sum(bits_for(r) for r in ranges.values())
         self.charge(total)
         return total
-
-    @contextmanager
-    def charged(self, bits: int):
-        self.charge(bits)
-        try:
-            yield
-        finally:
-            self.release(bits)
 
 
 # Streaming register arithmetic operates on fixed-size groups of bits; this is

@@ -209,7 +209,6 @@ def estimate_dag(
     eps: float,
     tape: CatalyticTape | None = None,
     *,
-    base: int = 0,
     collect: bool = False,
     meter: WorkspaceMeter | None = None,
     normalizations: list[str] | None = None,
@@ -229,8 +228,8 @@ def estimate_dag(
     K = simulation_count(m, eps)
     width = register_width(K)
     if tape is None:
-        tape = CatalyticTape.zeros(base + g.n * width)
-    regs = WalkRegisters(tape, base, g.n, width)
+        tape = CatalyticTape.zeros(g.n * width)
+    regs = WalkRegisters(tape, 0, g.n, width)
     counters = VisitCounters.for_graph(g) if collect else None
     touched: set = set()
     with DriverRun(

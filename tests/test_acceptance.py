@@ -11,6 +11,7 @@ import pytest
 
 from catgraph.budget import WORKSPACE_LOG_FACTOR, workspace_budget_bits
 from catgraph.connectivity import (
+    LayeredPushState,
     connect_det,
     connect_det_tape_bits,
     connect_rand,
@@ -136,7 +137,7 @@ def test_criterion_03_modular_path_counting():
                 for i in range(file.count):
                     file.write(i, file.read(i) % file._limit)
                 before = tape.digest()
-                got = st_count_mod(g, s, t, T, q, file)
+                got = st_count_mod(LayeredPushState(g, s, T, file), t)
                 assert tape.digest() == before
                 if s not in oracle_cache:
                     oracle_cache[s] = count_paths(g, s, T)

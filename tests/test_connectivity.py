@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from catgraph.connectivity import (
     LayeredPushState,
     ParityProgram,
+    _extract_grouped,
+    _extract_streaming,
     connect_det,
     connect_det_tape_bits,
     connect_rand,
@@ -14,6 +17,7 @@ from catgraph.connectivity import (
     iteration_count,
     nonzero_value_bound,
     revert_query,
+    revertible_parameters,
     st_count_mod,
     st_nonzero_mod,
 )
@@ -52,20 +56,20 @@ def parity_file(g, q, profile="random", seed=0, extra_width=4):
 def test_count_path_graph():
     g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
     tape, file = layered_file(g, 2, 7)
-    assert st_count_mod(g, 0, 2, 2, 7, file) == 1
+    assert st_count_mod(LayeredPushState(g, 0, 2, file), 2) == 1
 
 
 def test_count_diamond():
     g = AdjacencyGraph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     tape, file = layered_file(g, 2, 7)
-    assert st_count_mod(g, 0, 3, 2, 7, file) == 2
+    assert st_count_mod(LayeredPushState(g, 0, 2, file), 3) == 2
 
 
 def test_count_disconnected_zero():
     g = AdjacencyGraph.from_edges(4, [(0, 1), (2, 3)])
     for T in (0, 1, 3):
         tape, file = layered_file(g, T, 11, seed=T)
-        assert st_count_mod(g, 0, 3, T, 11, file) == 0
+        assert st_count_mod(LayeredPushState(g, 0, T, file), 3) == 0
 
 
 def test_count_restores_tape():
@@ -77,7 +81,7 @@ def test_count_restores_tape():
         profile = TAPE_PROFILES[trial % 3]
         tape, file = layered_file(g, T, q, profile, seed=trial)
         before = tape.digest()
-        st_count_mod(g, rng.randrange(g.n), rng.randrange(g.n), T, q, file)
+        st_count_mod(LayeredPushState(g, rng.randrange(g.n), T, file), rng.randrange(g.n))
         assert tape.digest() == before
 
 
@@ -179,7 +183,7 @@ def test_relevant_set_must_hold_its_in_neighbors():
 def test_nonzero_single_vertex_base_case():
     g = AdjacencyGraph.from_edges(1, [])
     tape, file = parity_file(g, 5)
-    assert st_nonzero_mod(g, 0, 0, 0, 5, file) == 1
+    assert st_nonzero_mod(ParityProgram(g, 0, 0, file), 0) == 1
 
 
 def test_nonzero_path_graph():
@@ -188,14 +192,14 @@ def test_nonzero_path_graph():
     assert want > 0
     for q in (7, 5, 64, 4096):
         tape, file = parity_file(g, q, seed=q)
-        assert st_nonzero_mod(g, 0, 2, 2, q, file) == want % q
+        assert st_nonzero_mod(ParityProgram(g, 0, 2, file), 2) == want % q
 
 
 def test_nonzero_no_path_is_zero():
     g = AdjacencyGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     for T in (0, 2, 5, 9):
         tape, file = parity_file(g, 13, seed=T)
-        assert st_nonzero_mod(g, 0, 3, T, 13, file) == 0
+        assert st_nonzero_mod(ParityProgram(g, 0, T, file), 3) == 0
 
 
 def test_nonzero_matches_exact_recurrence():
@@ -207,7 +211,7 @@ def test_nonzero_matches_exact_recurrence():
         q = rng.randint(2, 4096)
         tape, file = parity_file(g, q, TAPE_PROFILES[trial % 3], seed=trial)
         before = tape.digest()
-        got = st_nonzero_mod(g, s, t, T, q, file)
+        got = st_nonzero_mod(ParityProgram(g, s, T, file), t)
         assert tape.digest() == before
         assert got == zeta_table(g, s, T)[T][t] % q
 
@@ -231,9 +235,10 @@ def test_extraction_strategies_agree():
     g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     q = 1 << 26
     tape, file = parity_file(g, q, seed=9, extra_width=3)
-    streamed = st_nonzero_mod(g, 0, 3, 4, q, file, _force_extract="horner")
-    danced = st_nonzero_mod(g, 0, 3, 4, q, file, _force_extract="dance")
-    default = st_nonzero_mod(g, 0, 3, 4, q, file)
+    prog = ParityProgram(g, 0, 4, file)
+    streamed = _extract_streaming(prog, prog.answer_index(3), None)
+    danced = _extract_grouped(prog, prog.answer_index(3), None)
+    default = st_nonzero_mod(prog, 3)
     assert streamed == danced == default
     assert default == zeta_table(g, 0, 4)[4][3] % q
 
@@ -278,13 +283,14 @@ def test_revert_query_at_random_pause_points():
         tau = [file.read(i) for i in range(file.count)]
         probes = []
 
-        def pause(state, stage):
+        def pause(stage):
             for _ in range(3):
                 i = rng.randint(0, T)
                 v = rng.randrange(n)
                 probes.append(revert_query(state, (i, v)) == tau[i * n + v])
 
-        st_count_mod(g, 0, n - 1, T, q, file, pause=pause)
+        state = LayeredPushState(g, 0, T, file, pause=pause)
+        st_count_mod(state, n - 1)
         assert probes and all(probes)
 
 
@@ -409,6 +415,53 @@ def test_revertible_untouched_region_reads_current_value():
     assert not seen
 
 
+@pytest.mark.parametrize("profile", TAPE_PROFILES)
+def test_revertible_every_pause_answer_on_a_whole_run(profile):
+    # no-path instances whose shifts all leave the registers valid, so every
+    # iteration runs; every bit of every relevant register, and a stride of
+    # the other bits, is asked at every pause point
+    cases = [
+        (AdjacencyGraph.from_edges(3, [(0, 1)]), 0, 2),
+        (AdjacencyGraph.from_edges(4, [(0, 1), (1, 0), (2, 3)]), 0, 3),
+        (AdjacencyGraph.from_edges(4, [(1, 0), (2, 1), (3, 2)]), 0, 3),
+    ]
+    for seed, (g, s, t) in enumerate(cases):
+        params = revertible_parameters(g)
+        T, n_ids, ell = params["T"], params["view_n"], params["ell"]
+        relevant = sorted(set(params["view"].iter_nonisolated()) | {s, t})
+        bits = connect_revertible_tape_bits(g)
+        rel_regs = {i * n_ids + v for i in range(T + 1) for v in relevant}
+        probe = [idx for idx in range(bits)
+                 if idx // ell in rel_regs or idx % 7 == seed]
+        tape = make_tape(bits, profile, seed)
+        snap = tape.snapshot()
+        before = tape.digest()
+        points, bad = [], []
+
+        def hook(point, query):
+            points.append(point)
+            for idx in probe:
+                if query(idx) != (snap[idx >> 3] >> (idx & 7)) & 1:
+                    bad.append((point.pause_id, point.stage, idx))
+
+        ans = connect_revertible(g, s, t, seed=seed, kappa=1.0, tape=tape,
+                                 pause_hook=hook)
+        assert bad == [], bad[:4]
+        assert ans.verdict == "no-path"
+        assert ans.metrics.tape_restored and tape.digest() == before
+        # q < 2**16 here, so each iteration is one streaming b=0, b=1 pass
+        stages = ["shifted"]
+        for b in (0, 1):
+            stages += ([f"start-increment:b={b}"]
+                       + [f"push:b={b}:layer={i}" for i in range(T)]
+                       + [f"reverse:b={b}:layer={i}" for i in range(T - 1, -1, -1)]
+                       + [f"start-decrement:b={b}"])
+        stages.append("unshifted")
+        iters = iteration_count(g.n, 1.0)
+        assert [(p.pause_id, p.iteration, p.stage) for p in points] == [
+            (k, k // len(stages), stage) for k, stage in enumerate(stages * iters)]
+
+
 def test_bounds_helpers():
     assert nonzero_value_bound(2) == 10
     assert connect_det_tape_bits(2) == 2 * 2 * 4  # l = ceil(log2 10) = 4
@@ -494,6 +547,30 @@ def test_revertible_raising_pause_hook_restores_tape():
         with pytest.raises(HookFault):
             connect_revertible(g, 0, 2, seed=1, tape=tape, pause_hook=hook)
         assert tape.digest() == before, point.stage
+
+
+def test_revertible_leaves_no_reference_cycles():
+    # the program's pause hook reaches the program again through `query`;
+    # a finished or failed call must not leave that loop to the collector
+    g = AdjacencyGraph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
+
+    def hook(point, query):
+        query(0)
+        if point.pause_id == 7:
+            raise KeyError(point.pause_id)
+
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(3):
+            connect_revertible(g, 0, 4, seed=seed, kappa=1.0)
+            try:
+                connect_revertible(g, 0, 4, seed=seed, kappa=1.0, pause_hook=hook)
+            except KeyError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _fault_sweep_cases():

@@ -5,6 +5,7 @@ import pytest
 from catgraph.errors import GraphFormatError
 from catgraph.graphs import (
     AdjacencyGraph,
+    SelfLoopView,
     SinkLoopsView,
     add_virtual_self_loop,
     enumerate_nonisolated,
@@ -247,7 +248,14 @@ def test_sink_loops_view_consistency():
     assert view.outdeg(2) == 1 and view.outnbr(2, 0) == 2
     assert view.outdeg(3) == 1 and view.outnbr(3, 0) == 3
     assert view.outdeg(0) == 2
-    for v in range(4):
-        for u in view.in_neighbors(v):
-            assert v in view.out_neighbors(u)
-        assert view.in_neighbors(v) == sorted(view.in_neighbors(v))
+    # loops at listed vertices: the last out-edge, in sorted in-neighbor order
+    g2 = AdjacencyGraph.from_edges(4, [(0, 1), (2, 1), (1, 3)])
+    looped = SelfLoopView(g2, 1, 3)
+    assert looped.out_neighbors(1) == [3, 1] and looped.outnbr(1, 2) is None
+    assert looped.in_neighbors(1) == [0, 1, 2]
+    for view in (view, looped):
+        for v in range(4):
+            for u in view.in_neighbors(v):
+                assert v in view.out_neighbors(u)
+            assert view.in_neighbors(v) == sorted(view.in_neighbors(v))
+            assert view.indeg(v) == len(view.in_neighbors(v))

@@ -44,6 +44,11 @@ def test_trace_targets_exist_and_record_every_layer():
                   "connectivity.layer_push", "walks.registers"):
         assert groups[group]["calls"] > 0, group
     assert groups["connectivity.layer_push"]["amount"] > 0
-    registers = summary["span_group"] == summary["group_ids"]["walks.registers"]
-    drivers = {tracer.call_driver[c] for c in arrays["call"][registers]}
-    assert {"estimate_dag", "estimate_general", "estimate_stationary"} <= drivers
+    def drivers_of(group):
+        spans_of_group = summary["span_group"] == summary["group_ids"][group]
+        return {tracer.call_driver[c] for c in arrays["call"][spans_of_group]}
+
+    assert {"estimate_dag", "estimate_general",
+            "estimate_stationary"} <= drivers_of("walks.registers")
+    assert {"connect_det", "connect_rand",
+            "connect_revertible"} <= drivers_of("connectivity.answer")
