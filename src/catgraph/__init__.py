@@ -18,12 +18,8 @@ from .connectivity import (
 from .graphs import (
     AdjacencyGraph,
     GraphOracle,
-    add_virtual_self_loop,
-    enumerate_nonisolated,
-    lift_layered,
     load_graph,
     read_graph_file,
-    reduce_degree,
 )
 from .metrics import RunMetrics
 from .tape import (
@@ -54,21 +50,17 @@ __all__ = [
     "RunMetrics",
     "VisitCounters",
     "WorkspaceMeter",
-    "add_virtual_self_loop",
     "allocate_registers",
     "collect_counters",
     "connect_det",
     "connect_rand",
     "connect_revertible",
-    "enumerate_nonisolated",
     "estimate_dag",
     "estimate_general",
     "estimate_stationary",
-    "lift_layered",
     "load_graph",
     "make_tape",
     "read_graph_file",
-    "reduce_degree",
     "revert_query",
     "st_count_mod",
     "st_nonzero_mod",

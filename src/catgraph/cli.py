@@ -45,8 +45,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="like --json but with wall_time_ms zeroed for replays")
     parser.add_argument("--trials", type=int, default=1,
                         help="run N independently seeded trials")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run trials in separate processes")
 
 
 def _seeds(args) -> tuple[int, int]:
@@ -71,6 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="iteration multiplier for the randomized drivers")
     p.add_argument("--verify", action="store_true",
                    help="cross-check the verdict against a BFS oracle")
+    p.add_argument("--parallel", action="store_true",
+                   help="run trials in separate processes")
     _add_common(p)
 
     p = sub.add_parser("walk", help="random-walk probability estimation")

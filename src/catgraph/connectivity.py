@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InvalidRegisterError
-from .graphs import GraphOracle, add_virtual_self_loop, reduce_degree
+from .graphs import DegreeReducedView, GraphOracle, SelfLoopView
 from .metrics import DriverRun, RunMetrics, StepCounter
 from .tape import (
     GROUP_BITS,
@@ -123,22 +123,87 @@ def _push_layer(
 
 
 # ---------------------------------------------------------------------------
+# The run protocol shared by both programs
+# ---------------------------------------------------------------------------
+
+
+class _PushProgram:
+    """Add b at register s, push T phases; undo by the reverse sequence.
+
+    Phase i is the subclass's `_push(i, sign)`: sign 1 applies it, -1
+    subtracts the same sums again. `pushed` counts the phases currently
+    applied (always phases 0..pushed-1) and `b_applied` the start increment;
+    each is updated only after its tape write succeeds, so `unwind` can undo
+    a run cut short anywhere. `pause(stage)`, when given, is called after
+    every step of `run_push` and `run_reverse`.
+    """
+
+    def __init__(self, s: int, T: int, file: RegisterFile,
+                 steps: StepCounter | None,
+                 pause: Callable[[str], None] | None = None):
+        self.s = s
+        self.T = T
+        self.file = file
+        self.steps = steps or StepCounter()
+        self.pause = pause
+        self.pushed = 0
+        self.b_applied = 0
+
+    def _push(self, i: int, sign: int) -> None:
+        raise NotImplementedError
+
+    def forward_phase(self) -> None:
+        self._push(self.pushed, 1)
+        self.pushed += 1
+
+    def reverse_phase(self) -> None:
+        self._push(self.pushed - 1, -1)
+        self.pushed -= 1
+
+    def run_push(self, b: int) -> None:
+        assert self.pushed == 0
+        pause = self.pause
+        self.file.add_mod(self.s, b)
+        self.b_applied = b
+        self.steps.add(1)
+        if pause is not None:
+            pause(f"start-increment:b={b}")
+        for i in range(self.T):
+            self.forward_phase()
+            if pause is not None:
+                pause(f"push:b={b}:layer={i}")
+
+    def run_reverse(self, b: int) -> None:
+        pause = self.pause
+        for _ in range(self.T):
+            self.reverse_phase()
+            if pause is not None:
+                pause(f"reverse:b={b}:layer={self.pushed}")
+        self.file.sub_mod(self.s, b)
+        self.b_applied = 0
+        self.steps.add(1)
+        if pause is not None:
+            pause(f"start-decrement:b={b}")
+
+    def unwind(self) -> None:
+        """Undo the pushed phases and the start increment, without pausing."""
+        while self.pushed:
+            self.reverse_phase()
+        if self.b_applied:
+            self.file.sub_mod(self.s, self.b_applied)
+            self.b_applied = 0
+
+
+# ---------------------------------------------------------------------------
 # Two-bank parity program (nonzero detection)
 # ---------------------------------------------------------------------------
 
 
-class ParityProgram:
-    """Registers R[sigma*n + v] for sigma in {0,1}; pushes alternate banks.
+class ParityProgram(_PushProgram):
+    """Registers R[bank*n + v] for bank in {0,1}; phase i pushes bank i & 1.
 
-    A forward phase accumulates, into the opposite bank, each vertex's own
-    residue (the dummy self-edge) plus the residues of its in-neighbors, then
-    flips sigma. A reverse phase flips sigma first and subtracts the same
-    sums, so reverse phases unwind forward phases last-first.
-
-    Tracks how many forward phases are currently pushed (sigma is their
-    parity) and whether the start increment is applied; each is updated only
-    after its tape write succeeds, so `unwind` can undo a run cut short
-    anywhere.
+    A phase accumulates, into the other bank, each vertex's own residue (the
+    dummy self-edge) plus the residues of its in-neighbors.
     """
 
     def __init__(self, graph: GraphOracle, s: int, T: int, file: RegisterFile,
@@ -146,57 +211,16 @@ class ParityProgram:
         n = graph.n
         if file.count != 2 * n:
             raise ValueError("parity program needs exactly 2n registers")
+        super().__init__(s, T, file, steps)
         self.n = n
-        self.s = s
-        self.T = T
-        self.file = file
-        self.steps = steps or StepCounter()
         # each vertex's own residue (the dummy self-edge) and its in-neighbors'
         self.sources = [[v, *graph.in_neighbors(v)] for v in range(n)]
         self.pushes_per_phase = sum(len(l) for l in self.sources)
-        self.phases = 0
-        self.b_applied = 0
 
-    @property
-    def sigma(self) -> int:
-        return self.phases & 1
-
-    def _apply_phase(self, src_bank: int, sign: int) -> None:
-        n = self.n
-        _push_layer(self.file, src_bank * n, (1 - src_bank) * n, self.sources, sign)
+    def _push(self, i: int, sign: int) -> None:
+        src = (i & 1) * self.n
+        _push_layer(self.file, src, self.n - src, self.sources, sign)
         self.steps.add(self.pushes_per_phase)
-
-    def forward_phase(self) -> None:
-        self._apply_phase(self.sigma, 1)
-        self.phases += 1
-
-    def reverse_phase(self) -> None:
-        self._apply_phase(self.sigma ^ 1, -1)
-        self.phases -= 1
-
-    def run_push(self, b: int) -> None:
-        assert self.phases == 0
-        self.file.add_mod(self.s, b)
-        self.b_applied = b
-        self.steps.add(1)
-        for _ in range(self.T):
-            self.forward_phase()
-
-    def run_reverse(self, b: int) -> None:
-        for _ in range(self.T):
-            self.reverse_phase()
-        self.file.sub_mod(self.s, b)
-        self.b_applied = 0
-        self.steps.add(1)
-        assert self.phases == 0
-
-    def unwind(self) -> None:
-        """Undo the pushed phases and the start increment."""
-        while self.phases:
-            self.reverse_phase()
-        if self.b_applied:
-            self.file.sub_mod(self.s, self.b_applied)
-            self.b_applied = 0
 
     def answer_index(self, t: int) -> int:
         # step-T values live in the bank last pushed to
@@ -222,15 +246,11 @@ def st_nonzero_mod(
 # ---------------------------------------------------------------------------
 
 
-class LayeredPushState:
-    """Registers R[i*n + v] for layers i in {0..T}; layer i pushes into i+1.
+class LayeredPushState(_PushProgram):
+    """Registers R[i*n + v] for layers i in {0..T}; phase i pushes i into i+1.
 
-    Tracks which layers are currently pushed (always a prefix 1..dirty_hi)
-    and whether the start increment is applied, which is exactly the state
-    needed to answer original-value queries between phases and to `unwind`
-    a run cut short. Each is updated only after its tape write succeeds.
-    `pause(stage)`, when given, is called at every point where such a query
-    is answered.
+    The pushed-phase count and the start increment are exactly the state
+    needed to answer original-value queries at every pause point.
     """
 
     def __init__(
@@ -247,12 +267,8 @@ class LayeredPushState:
         n = graph.n
         if file.count != (T + 1) * n:
             raise ValueError("layered program needs (T+1)*n registers")
+        super().__init__(s, T, file, steps, pause)
         self.n_ids = n
-        self.s = s
-        self.T = T
-        self.file = file
-        self.steps = steps or StepCounter()
-        self.pause = pause
         ids = range(n) if relevant is None else sorted(relevant)
         self.relevant_set = set(ids)
         self.in_lists = {v: graph.in_neighbors(v) for v in ids}
@@ -268,12 +284,6 @@ class LayeredPushState:
         self._dst = [[i * n + v for v in dsts] for i in range(T + 1)]
         self._sources = [[pos[u] for u in self.in_lists[v]] for v in dsts]
         self.pushes_per_layer = sum(len(l) for l in self.in_lists.values())
-        self.b_applied = 0
-        self.dirty_hi = 0
-
-    def _pause(self, stage: str) -> None:
-        if self.pause is not None:
-            self.pause(stage)
 
     def _reg(self, i: int, v: int) -> int:
         return i * self.n_ids + v
@@ -284,34 +294,8 @@ class LayeredPushState:
                     -1 if reverse else 1)
         self.steps.add(self.pushes_per_layer)
 
-    def run_push(self, b: int) -> None:
-        self.file.add_mod(self._reg(0, self.s), b)
-        self.b_applied = b
-        self.steps.add(1)
-        self._pause(f"start-increment:b={b}")
-        for i in range(self.T):
-            self.layer_push(i)
-            self.dirty_hi = i + 1
-            self._pause(f"push:b={b}:layer={i}")
-
-    def run_reverse(self, b: int) -> None:
-        for i in range(self.T - 1, -1, -1):
-            self.layer_push(i, reverse=True)
-            self.dirty_hi = i
-            self._pause(f"reverse:b={b}:layer={i}")
-        self.file.sub_mod(self._reg(0, self.s), b)
-        self.b_applied = 0
-        self.steps.add(1)
-        self._pause(f"start-decrement:b={b}")
-
-    def unwind(self) -> None:
-        """Undo the pushed layers and the start increment, without pausing."""
-        for i in range(self.dirty_hi - 1, -1, -1):
-            self.layer_push(i, reverse=True)
-            self.dirty_hi = i
-        if self.b_applied:
-            self.file.sub_mod(self._reg(0, self.s), self.b_applied)
-            self.b_applied = 0
+    def _push(self, i: int, sign: int) -> None:
+        self.layer_push(i, sign < 0)
 
     def original_value(self, i: int, v: int) -> int:
         """Initial value of register (i, v) at the current pause point.
@@ -329,7 +313,7 @@ class LayeredPushState:
         if i == 0:
             if v == self.s:
                 delta = self.b_applied
-        elif i <= self.dirty_hi:
+        elif i <= self.pushed:
             base = self._reg(i - 1, 0)
             for u, val in zip(self.in_lists[v],
                               file.gather([base + u for u in self.in_lists[v]])):
@@ -368,7 +352,7 @@ def st_count_mod(
 
 
 def _extract_residue(
-    prog: ParityProgram | LayeredPushState,
+    prog: _PushProgram,
     idx: int,
     meter: WorkspaceMeter | None,
 ) -> int:
@@ -631,7 +615,7 @@ def connect_rand(
 
 def revertible_parameters(graph: GraphOracle) -> dict:
     """Sizing for the locally revertible driver on the degree-reduced view."""
-    view = reduce_degree(graph)
+    view = DegreeReducedView(graph)
     T = view.diameter_bound()
     p = ceil_log2(max(view.n, 2) ** T)
     ell = 5 * ceil_log2(max(p, 2))
@@ -671,7 +655,7 @@ def connect_revertible(
     n = graph.n
     params = revertible_parameters(graph)
     view = params["view"]
-    looped = add_virtual_self_loop(view, t)
+    looped = SelfLoopView(view, t)
     T, n_ids, ell, q_hi = params["T"], params["view_n"], params["ell"], params["q_hi"]
     relevant = sorted(set(view.iter_nonisolated()) | {s, t})
     if tape is None:

@@ -172,10 +172,6 @@ class SelfLoopView(GraphOracle):
         return merged[i] if 0 <= i < len(merged) else None
 
 
-def add_virtual_self_loop(base: GraphOracle, t: int) -> SelfLoopView:
-    return SelfLoopView(base, t)
-
-
 class SinkLoopsView(SelfLoopView):
     """A self-loop at every sink of the base graph, so walks are total."""
 
@@ -274,14 +270,6 @@ class DegreeReducedView(GraphOracle):
         return n * (1 + ceil_log2(max(n, 2)))
 
 
-def reduce_degree(base: GraphOracle) -> DegreeReducedView:
-    return DegreeReducedView(base)
-
-
-def enumerate_nonisolated(view: DegreeReducedView):
-    return view.iter_nonisolated()
-
-
 class LayeredLiftView(GraphOracle):
     """Acyclic unrolling on [T+1] x V; (i, v) encodes as i*n + v.
 
@@ -325,7 +313,3 @@ class LayeredLiftView(GraphOracle):
             return None
         u = self.base.innbr(v, i)
         return None if u is None else self.encode(layer - 1, u)
-
-
-def lift_layered(base: GraphOracle, layers: int) -> LayeredLiftView:
-    return LayeredLiftView(base, layers)

@@ -62,14 +62,9 @@ class CatalyticTape:
 
     @classmethod
     def random(cls, nbits: int, rng) -> "CatalyticTape":
-        """Uniform random fill from an object with a randbytes/getrandbits method."""
+        """Uniform random fill from a `random.Random` (its `randbytes`)."""
         tape = cls(nbits)
-        if hasattr(rng, "randbytes"):
-            tape._buf = bytearray(rng.randbytes(len(tape._buf)))
-        else:
-            tape._buf = bytearray(
-                rng.getrandbits(8) for _ in range(len(tape._buf))
-            )
+        tape._buf = bytearray(rng.randbytes(len(tape._buf)))
         tape._mask_tail()
         return tape
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import SinkVertexError, WalkCycleError
-from .graphs import GraphOracle, LayeredLiftView, lift_layered, with_sink_loops
+from .graphs import GraphOracle, LayeredLiftView, with_sink_loops
 from .metrics import DriverRun, RunMetrics, StepCounter
 from .tape import CatalyticTape, RegisterFile, WorkspaceMeter, ceil_log2
 
@@ -267,7 +267,7 @@ class GeneralWalkResult:
 
 
 def general_tape_bits(g: GraphOracle, T: int, eps: float) -> int:
-    return dag_tape_bits(lift_layered(with_sink_loops(g), T), eps)
+    return dag_tape_bits(LayeredLiftView(with_sink_loops(g), T), eps)
 
 
 def estimate_general(
@@ -295,7 +295,7 @@ def estimate_general(
     normalizations = []
     if walkable is not g:
         normalizations.append(f"sink-self-loops:{len(walkable.loop_vertices)}")
-    lift = lift_layered(walkable, T)
+    lift = LayeredLiftView(walkable, T)
     dag = estimate_dag(
         lift,
         lift.encode(0, s),
@@ -421,8 +421,12 @@ def estimate_stationary(
         tape, meter, vertex=g.n, edge_choice=max(g.outdeg(v) for v in range(g.n)) + 1,
         step=t_prime + 1, n_visit=t_prime + 1,
     ) as run:
-        snap = rotors.snapshot_spans() if restore else None
-        values = rotors.load()
+        snap = rotors.snapshot_spans()
+        # one read serves both: every out-degree is positive here, so each
+        # rotor is its span mod out-degree, as `load` would give
+        values = [raw % g.outdeg(u) for u, raw in enumerate(snap)]
+        if not restore:
+            snap = None
         # restore inside the try and again on the way out of it, so a fault
         # in the restoring write itself is retried
         try:

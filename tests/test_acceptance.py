@@ -22,9 +22,8 @@ from catgraph.connectivity import (
 )
 from catgraph.graphs import (
     AdjacencyGraph,
-    enumerate_nonisolated,
-    lift_layered,
-    reduce_degree,
+    DegreeReducedView,
+    LayeredLiftView,
     with_sink_loops,
 )
 from catgraph.oracles import (
@@ -235,14 +234,14 @@ def test_criterion_06_degree_reduction():
     for k in range(200):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, p=rng.choice((0.2, 0.5, 0.8)))
-        view = reduce_degree(g)
+        view = DegreeReducedView(g)
         assert max(view.indeg(vid) for vid in range(view.n)) <= 2
         base_reach = bfs_reach(g)
         view_reach = bfs_reach(view)
         for s in range(n):
             for t in range(n):
                 assert view_reach[s][t] == base_reach[s][t]
-        assert len(list(enumerate_nonisolated(view))) <= 2 * g.m + n
+        assert len(list(view.iter_nonisolated())) <= 2 * g.m + n
     report(6, "200 random graphs: in-degree <= 2, reachability preserved on [n], "
               "non-isolated count <= 2m + n")
 
@@ -324,7 +323,7 @@ def test_criterion_09_general_walk():
         T = rng.randint(0, 10)
         s, t = rng.randrange(n), rng.randrange(n)
         tape = make_tape(general_tape_bits(g, T, eps), TAPE_PROFILES[k % 3], seed=k)
-        lift = lift_layered(with_sink_loops(g), T)
+        lift = LayeredLiftView(with_sink_loops(g), T)
         K = simulation_count(lift.edge_count(), eps)
         width = register_width(K)
         init = WalkRegisters(tape, 0, lift.n, width).load()

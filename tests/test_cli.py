@@ -161,6 +161,18 @@ def test_trials_parallel(path_graph):
     assert json.loads(lines[-1])["trials"] == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["walk", "{g}", "0", "2", "--dag", "--trials", "2", "--parallel"],
+    ["stationary", "{g}", "0", "--mix-time", "2", "--trials", "2", "--parallel"],
+], ids=["walk", "stationary"])
+def test_parallel_is_a_connect_option_only(capsys, path_graph, argv):
+    # the walk commands run their trials in-process, so they reject the flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(g=path_graph) for a in argv])
+    assert exc.value.code == 2
+    assert "--parallel" in capsys.readouterr().err
+
+
 def test_env_seed_fallback(path_graph):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")

@@ -5,13 +5,11 @@ import pytest
 from catgraph.errors import GraphFormatError
 from catgraph.graphs import (
     AdjacencyGraph,
+    DegreeReducedView,
+    LayeredLiftView,
     SelfLoopView,
     SinkLoopsView,
-    add_virtual_self_loop,
-    enumerate_nonisolated,
-    lift_layered,
     load_graph,
-    reduce_degree,
 )
 from catgraph.oracles import bfs_reach, count_paths, topological_order
 
@@ -81,19 +79,19 @@ def test_oracle_in_out_consistency():
 def test_reduce_star_matches_tree_construction():
     # u1..u4 = vertices 0..3 feeding v = 4
     g = AdjacencyGraph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
-    view = reduce_degree(g)
+    view = DegreeReducedView(g)
     enc = view.encode
     assert view.in_neighbors(enc(4, 0)) == [enc(4, 1), enc(4, 2)]
     assert view.in_neighbors(enc(4, 1)) == [enc(0, 0), enc(1, 0)]
     assert view.in_neighbors(enc(4, 2)) == [enc(2, 0), enc(3, 0)]
-    assert sorted(enumerate_nonisolated(view)) == sorted(
+    assert sorted(view.iter_nonisolated()) == sorted(
         [enc(u, 0) for u in range(4)] + [enc(4, 0), enc(4, 1), enc(4, 2)]
     )
 
 
 def test_reduce_low_indegree_keeps_direct_edges():
     g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    view = reduce_degree(g)
+    view = DegreeReducedView(g)
     for v in range(4):
         assert view.indeg(v) == 1
         assert view.in_neighbors(v) == [(v - 1) % 4]
@@ -104,7 +102,7 @@ def test_reduce_max_indegree_two():
     rng = random.Random(1)
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 8), p=0.6)
-        view = reduce_degree(g)
+        view = DegreeReducedView(g)
         for vid in range(view.n):
             assert view.indeg(vid) <= 2
 
@@ -114,7 +112,7 @@ def test_reduce_preserves_reachability():
     for _ in range(100):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, p=rng.choice((0.2, 0.4, 0.7)))
-        view = reduce_degree(g)
+        view = DegreeReducedView(g)
         base_reach = bfs_reach(g)
         view_reach = bfs_reach(view)
         for s in range(n):
@@ -127,8 +125,8 @@ def test_reduce_nonisolated_enumeration_matches_scan():
     for _ in range(40):
         n = rng.randint(2, 7)
         g = random_graph(rng, n, p=0.5)
-        view = reduce_degree(g)
-        listed = sorted(enumerate_nonisolated(view))
+        view = DegreeReducedView(g)
+        listed = sorted(view.iter_nonisolated())
         scanned = [
             vid for vid in range(view.n)
             if view.indeg(vid) + view.outdeg(vid) > 0
@@ -139,14 +137,14 @@ def test_reduce_nonisolated_enumeration_matches_scan():
 
 def test_reduce_edgeless_enumeration_empty():
     g = AdjacencyGraph.from_edges(3, [])
-    assert list(enumerate_nonisolated(reduce_degree(g))) == []
+    assert list(DegreeReducedView(g).iter_nonisolated()) == []
 
 
 def test_reduce_edges_project_to_base_edges_or_loops():
     rng = random.Random(4)
     for _ in range(25):
         g = random_graph(rng, rng.randint(2, 6), p=0.5)
-        view = reduce_degree(g)
+        view = DegreeReducedView(g)
         base_edges = set(g.edges())
         for vid in range(view.n):
             y, _ = view.decode(vid)
@@ -160,7 +158,7 @@ def test_reduce_outnbr_exhaustive_search_consistent():
     rng = random.Random(5)
     for _ in range(8):
         g = random_graph(rng, rng.randint(2, 5), p=0.6)
-        view = reduce_degree(g)
+        view = DegreeReducedView(g)
         edges_by_in = {}
         for vid in range(view.n):
             for j in range(view.indeg(vid)):
@@ -175,7 +173,7 @@ def test_reduce_outnbr_exhaustive_search_consistent():
 
 def test_reduce_degree_rejects_tiny_graph():
     with pytest.raises(ValueError):
-        reduce_degree(AdjacencyGraph.from_edges(1, []))
+        DegreeReducedView(AdjacencyGraph.from_edges(1, []))
 
 
 # --- layered lift ------------------------------------------------------------
@@ -183,14 +181,14 @@ def test_reduce_degree_rejects_tiny_graph():
 
 def test_lift_zero_layers_all_sinks():
     g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
-    lift = lift_layered(g, 0)
+    lift = LayeredLiftView(g, 0)
     assert lift.n == 3
     assert all(lift.outdeg(v) == 0 for v in range(lift.n))
 
 
 def test_lift_single_edge_unrolls():
     g = AdjacencyGraph.from_edges(2, [(0, 1)])
-    lift = lift_layered(g, 2)
+    lift = LayeredLiftView(g, 2)
     edges = [
         (u, lift.outnbr(u, i))
         for u in range(lift.n)
@@ -208,7 +206,7 @@ def test_lift_edge_count_and_acyclicity():
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 7), p=0.5)
         T = rng.randint(0, 5)
-        lift = lift_layered(g, T)
+        lift = LayeredLiftView(g, T)
         total = sum(lift.outdeg(v) for v in range(lift.n))
         assert total == g.m * T
         assert topological_order(lift) is not None
@@ -221,7 +219,7 @@ def test_lift_edge_count_and_acyclicity():
 
 def test_virtual_self_loop_singleton():
     g = AdjacencyGraph.from_edges(1, [])
-    looped = add_virtual_self_loop(g, 0)
+    looped = SelfLoopView(g, 0)
     assert looped.outdeg(0) == looped.indeg(0) == 1
     for k in (1, 5, 9):
         assert count_paths(looped, 0, k)[0] == 1
@@ -229,7 +227,7 @@ def test_virtual_self_loop_singleton():
 
 def test_virtual_self_loop_pads_path_lengths():
     g = AdjacencyGraph.from_edges(2, [(0, 1)])
-    looped = add_virtual_self_loop(g, 1)
+    looped = SelfLoopView(g, 1)
     assert count_paths(looped, 0, 5)[1] == 1
 
 
@@ -238,7 +236,7 @@ def test_virtual_self_loop_preserves_reachability():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 7))
         t = rng.randrange(g.n)
-        looped = add_virtual_self_loop(g, t)
+        looped = SelfLoopView(g, t)
         assert bfs_reach(looped) == bfs_reach(g)
 
 

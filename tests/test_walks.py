@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from catgraph.errors import SinkVertexError, WalkCycleError
-from catgraph.graphs import AdjacencyGraph, lift_layered, with_sink_loops
+from catgraph.graphs import AdjacencyGraph, LayeredLiftView, with_sink_loops
 from catgraph.metrics import StepCounter
 from catgraph.oracles import (
     dag_reach_probabilities,
@@ -173,7 +173,7 @@ def test_walk_kernel_matches_reference_walks():
             for _ in range(12):
                 g = _graph_with_sinks(rng, rng.randint(2, 8))
                 log = LoggingGraph(with_sink_loops(g) if loops else g)
-                lift = lift_layered(log, T)
+                lift = LayeredLiftView(log, T)
                 s = lift.encode(rng.randrange(T + 1), rng.randrange(g.n))
                 cases.append((lift, log, s))
     lifted_steps = 0
@@ -230,6 +230,15 @@ def test_walk_fault_at_every_write_and_charge_restores_tape(driver, target):
             run(tape, meter)
         assert tape.digest() == before, k
         assert meter.bits_in_use == 0, k
+
+
+@pytest.mark.parametrize("restore", [True, False])
+def test_stationary_reads_its_rotor_span_once(restore):
+    tape = make_tape(stationary_tape_bits(_SWEEP_GRAPH), "random", 1)
+    with fail_at(CatalyticTape, "read_bits", None) as counter:
+        estimate_stationary(_SWEEP_GRAPH, 0, 2, 0.5, tape, restore=restore)
+    # one read at entry, one in the partial flush of the advanced rotors
+    assert counter.calls == 2
 
 
 def test_simulation_count_and_width():
@@ -385,7 +394,7 @@ def test_general_reduces_exactly_to_dag_run():
     tape_a = make_tape(bits, "random", 77)
     tape_b = make_tape(bits, "random", 77)
     res = estimate_general(g, 0, 3, T, eps, tape_a, collect=True)
-    lift = lift_layered(g, T)
+    lift = LayeredLiftView(g, T)
     manual = estimate_dag(
         lift, lift.encode(0, 0), lift.encode(T, 3), eps, tape_b, collect=True
     )
