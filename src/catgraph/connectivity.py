@@ -30,6 +30,7 @@ from .tape import (
     GROUP_BITS,
     CatalyticTape,
     RegisterFile,
+    RegisterSpan,
     WorkspaceMeter,
     allocate_registers,
     ceil_log2,
@@ -69,46 +70,34 @@ class PausePoint:
 
 def _push_layer(
     file: RegisterFile,
-    src: int | list[int],
-    dst: int | list[int],
+    src: RegisterSpan,
+    dst: RegisterSpan,
     sources: Sequence[Sequence[int]],
     sign: int,
 ) -> None:
-    """Edge pushes from one block of registers into another.
+    """Edge pushes from one span of registers into another.
 
     The k-th destination gains sign times the sum of the residues of the
     source registers at the positions `sources[k]`. Every source and every
-    destination with sources is validated before anything is written.
-
-    `src` and `dst` are either the first indices of two blocks of
-    len(sources) registers, moved with `read_block`/`write_block` (the two
-    banks of `ParityProgram`), or lists of register indices, moved with one
-    `gather` each and one `scatter` of `dst`, so registers left out of the
-    lists stay untouched and clean (the layers of `LayeredPushState`).
+    destination with sources is validated before anything is written. Each
+    span is read with one `gather` and `dst` is written with one `scatter`,
+    so registers left out of the spans stay untouched and clean.
     """
     q, limit = file.modulus, file._limit
-    block = isinstance(src, int)
-    if block:
-        src_vals = file.read_block(src, len(sources))
-        dst_vals = file.read_block(dst, len(sources))
-    else:
-        src_vals = file.gather(src)
-        dst_vals = file.gather(dst)
+    src_vals = file.gather(src)
+    dst_vals = file.gather(dst)
     if src_vals and max(src_vals) >= limit:
         k = next(k for k, val in enumerate(src_vals) if val >= limit)
-        reg = src + k if block else src[k]
         raise InvalidRegisterError(
-            f"register {reg} holds {src_vals[k]} >= q*d = {limit}"
+            f"register {src.indices[k]} holds {src_vals[k]} >= q*d = {limit}"
         )
     res = [val % q for val in src_vals]
     out = []
     for val, srcs in zip(dst_vals, sources):
         if srcs:
             if val >= limit:
-                k = len(out)
-                reg = dst + k if block else dst[k]
                 raise InvalidRegisterError(
-                    f"register {reg} holds {val} >= q*d = {limit}"
+                    f"register {dst.indices[len(out)]} holds {val} >= q*d = {limit}"
                 )
             total = 0
             for u in srcs:
@@ -116,10 +105,7 @@ def _push_layer(
             b = val % q
             val = val - b + (b + sign * total) % q
         out.append(val)
-    if block:
-        file.write_block(dst, out)
-    else:
-        file.scatter(dst, out)
+    file.scatter(dst, out)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +122,11 @@ class _PushProgram:
     each is updated only after its tape write succeeds, so `unwind` can undo
     a run cut short anywhere. `pause(stage)`, when given, is called after
     every step of `run_push` and `run_reverse`.
+
+    A subclass builds its register spans once, from the file it is given;
+    `use_file` moves the program to another file over the same registers,
+    so a randomized driver builds one program per call and hands it each
+    iteration's file.
     """
 
     def __init__(self, s: int, T: int, file: RegisterFile,
@@ -148,6 +139,16 @@ class _PushProgram:
         self.pause = pause
         self.pushed = 0
         self.b_applied = 0
+
+    def use_file(self, file: RegisterFile) -> None:
+        """Run on `file` from now on; only its modulus may differ."""
+        old = self.file
+        if (file.tape is not old.tape or file.base != old.base
+                or file.width != old.width or file.count != old.count):
+            raise ValueError(
+                "a program's new file must keep its tape, base, width and count"
+            )
+        self.file = file
 
     def _push(self, i: int, sign: int) -> None:
         raise NotImplementedError
@@ -213,13 +214,14 @@ class ParityProgram(_PushProgram):
             raise ValueError("parity program needs exactly 2n registers")
         super().__init__(s, T, file, steps)
         self.n = n
+        self.banks = (file.span(range(n)), file.span(range(n, 2 * n)))
         # each vertex's own residue (the dummy self-edge) and its in-neighbors'
         self.sources = [[v, *graph.in_neighbors(v)] for v in range(n)]
         self.pushes_per_phase = sum(len(l) for l in self.sources)
 
     def _push(self, i: int, sign: int) -> None:
-        src = (i & 1) * self.n
-        _push_layer(self.file, src, self.n - src, self.sources, sign)
+        _push_layer(self.file, self.banks[i & 1], self.banks[(i + 1) & 1],
+                    self.sources, sign)
         self.steps.add(self.pushes_per_phase)
 
     def answer_index(self, t: int) -> int:
@@ -275,15 +277,19 @@ class LayeredPushState(_PushProgram):
         if any(u not in self.relevant_set
                for l in self.in_lists.values() for u in l):
             raise ValueError("every in-neighbor of a relevant vertex must be relevant")
-        # per layer, the relevant registers (the push sources, and what a
-        # driver shifts and scans) and those of them with in-neighbors (the
-        # destinations); sources by position in ids
+        # per layer, the spans of the relevant registers (the push sources,
+        # and what a driver shifts and scans) and of those of them with
+        # in-neighbors (the destinations); sources by position in ids
         pos = {v: k for k, v in enumerate(ids)}
         dsts = [v for v in ids if self.in_lists[v]]
-        self.layers = [[i * n + v for v in ids] for i in range(T + 1)]
-        self._dst = [[i * n + v for v in dsts] for i in range(T + 1)]
+        self.layers = [file.span([i * n + v for v in ids]) for i in range(T + 1)]
+        self._dst = [file.span([i * n + v for v in dsts]) for i in range(T + 1)]
         self._sources = [[pos[u] for u in self.in_lists[v]] for v in dsts]
         self.pushes_per_layer = sum(len(l) for l in self.in_lists.values())
+        # each vertex's in-neighbors in layer 0; `original_value` reads them
+        # in layer i - 1 by moving the span i - 1 layers up the tape
+        self._in_spans = {v: file.span(l) for v, l in self.in_lists.items()}
+        self._layer_bits = n * file.width
 
     def _reg(self, i: int, v: int) -> int:
         return i * self.n_ids + v
@@ -313,13 +319,15 @@ class LayeredPushState(_PushProgram):
         if i == 0:
             if v == self.s:
                 delta = self.b_applied
-        elif i <= self.pushed:
-            base = self._reg(i - 1, 0)
-            for u, val in zip(self.in_lists[v],
-                              file.gather([base + u for u in self.in_lists[v]])):
+        elif i <= self.pushed and self.in_lists[v]:
+            span, mask = self._in_spans[v], file._mask
+            blob = file.tape.read_bits(
+                span.offset + (i - 1) * self._layer_bits, span.bits)
+            for u, pos in zip(span.indices, span.shifts):
+                val = (blob >> pos) & mask
                 if val >= limit:
                     raise InvalidRegisterError(
-                        f"register {base + u} holds {val} >= q*d = {limit}"
+                        f"register {self._reg(i - 1, u)} holds {val} >= q*d = {limit}"
                     )
                 delta += val % q
         b = value % q
@@ -438,13 +446,13 @@ def _extract_grouped(prog, idx, meter) -> int:
 class _Shift:
     """A random shift beta over a file's registers, applied layer by layer.
 
-    `layers` lists the register indices of each layer; one `shift_indices`
+    `layers` holds the register span of each layer; one `shift_indices`
     call moves one layer, atomically. `done` counts the layers that carry the
     shift, always a prefix of `layers`, so `undo` removes it from exactly
     those, top layer first.
     """
 
-    def __init__(self, file: RegisterFile, layers: Sequence[Sequence[int]], beta: int):
+    def __init__(self, file: RegisterFile, layers: Sequence[RegisterSpan], beta: int):
         self.file = file
         self.layers = layers
         self.beta = beta
@@ -586,19 +594,24 @@ def connect_rand(
         sigma=2, b=2, edge_cursor=m + n + 2, iteration=iters + 1,
         q=q_hi, d=1 << ell, beta=1 << ell,
     ) as run:
+        prog = None
+
+        def scan_and_count() -> int | None:
+            run.steps.add(2 * n)
+            limit = file._limit
+            if all(max(file.gather(bank)) < limit for bank in prog.banks):
+                return st_nonzero_mod(prog, t, meter=run.meter)
+            return None
+
         for _ in range(iters):
             q = rng.randrange(2, q_hi)
             beta = rng.getrandbits(ell)
             file = allocate_registers(tape, 0, 2 * n, ell, q)
-
-            def scan_and_count() -> int | None:
-                run.steps.add(2 * n)
-                if all(v < file._limit for v in file.read_block(0, 2 * n)):
-                    prog = ParityProgram(graph, s, n, file, run.steps)
-                    return st_nonzero_mod(prog, t, meter=run.meter)
-                return None
-
-            zeta = _Shift(file, [range(2 * n)], beta).run(scan_and_count)
+            if prog is None:
+                prog = ParityProgram(graph, s, n, file, run.steps)
+            else:
+                prog.use_file(file)
+            zeta = _Shift(file, prog.banks, beta).run(scan_and_count)
             run.steps.add(2 * n)
             touched = max(touched, file.touched_bits)
             if zeta is None:
@@ -669,64 +682,79 @@ def connect_revertible(
     aborted = False
     touched = 0
     pause_id = 0
+    state = None
+    cache = None  # original register values, only while a hook call runs
+
+    def query(bit_index: int) -> int:
+        reg = file.register_at_bit(bit_index)
+        if reg is None:
+            return tape.read_bit(bit_index)
+        layer, v = divmod(reg, n_ids)
+        if v not in state.relevant_set:
+            return tape.read_bit(bit_index)
+        current = None if cache is None else cache.get(reg)
+        if current is None:
+            current = state.original_value(layer, v)
+            if layer < shift.done:
+                current = (current - beta) & full
+            if cache is not None:
+                cache[reg] = current
+        return (current >> (bit_index - reg * ell)) & 1
+
+    def fire(stage: str) -> None:
+        nonlocal pause_id, cache
+        if pause_hook is None:
+            return
+        cache = {}
+        try:
+            pause_hook(PausePoint(pause_id, iteration, stage), query)
+        finally:
+            cache = None
+        pause_id += 1
 
     with DriverRun(
         tape, meter, width=ell, vertex=n_ids, nbr_index=4, layer=T + 2, b=2,
         edge_cursor=2 * (m + n) + 2, iteration=iters + 1,
         q=q_hi, d=1 << ell, beta=1 << ell,
     ) as run:
-        for iteration in range(iters):
-            q = rng.randrange(2, q_hi)
-            beta = rng.getrandbits(ell)
-            file = allocate_registers(tape, 0, (T + 1) * n_ids, ell, q)
 
-            def query(bit_index: int) -> int:
-                reg = file.register_at_bit(bit_index)
-                if reg is None:
-                    return tape.read_bit(bit_index)
-                layer, v = divmod(reg, n_ids)
-                if v not in state.relevant_set:
-                    return tape.read_bit(bit_index)
-                current = state.original_value(layer, v)
-                if layer < shift.done:
-                    current = (current - beta) & full
-                return (current >> (bit_index - reg * ell)) & 1
-
-            def fire(stage: str) -> None:
-                nonlocal pause_id
-                if pause_hook is not None:
-                    pause_hook(PausePoint(pause_id, iteration, stage), query)
-                    pause_id += 1
-
-            state = LayeredPushState(looped, s, T, file, relevant=relevant,
-                                     steps=run.steps, pause=fire)
-            shift = _Shift(file, state.layers, beta)
-
-            def scan_and_count() -> int | None:
-                run.steps.add(rel_count)
-                fire("shifted")
-                limit = file._limit
-                if all(max(file.gather(regs)) < limit for regs in state.layers):
-                    return st_count_mod(state, t, meter=run.meter)
-                return None
-
-            try:
-                alpha = shift.run(scan_and_count)
-            finally:
-                # the hook reaches the state again through `query`; dropping
-                # it lets the state go without waiting for the cycle collector
-                state.pause = None
+        def scan_and_count() -> int | None:
             run.steps.add(rel_count)
-            touched = max(touched, file.touched_bits)
-            if alpha is None:
-                fire("abort-unshifted")
-                aborted = True
-                verdict = VERDICT_ABORT
-                break
-            fire("unshifted")
-            if alpha != 0:
-                verdict = VERDICT_PATH
-                break
+            fire("shifted")
+            limit = file._limit
+            if all(max(file.gather(layer)) < limit for layer in state.layers):
+                return st_count_mod(state, t, meter=run.meter)
+            return None
+
+        try:
+            for iteration in range(iters):
+                q = rng.randrange(2, q_hi)
+                beta = rng.getrandbits(ell)
+                file = allocate_registers(tape, 0, (T + 1) * n_ids, ell, q)
+                if state is None:
+                    state = LayeredPushState(
+                        looped, s, T, file, relevant=relevant, steps=run.steps,
+                        pause=None if pause_hook is None else fire)
+                else:
+                    state.use_file(file)
+                shift = _Shift(file, state.layers, beta)
+                alpha = shift.run(scan_and_count)
+                run.steps.add(rel_count)
+                touched = max(touched, file.touched_bits)
+                if alpha is None:
+                    fire("abort-unshifted")
+                    aborted = True
+                    verdict = VERDICT_ABORT
+                    break
+                fire("unshifted")
+                if alpha != 0:
+                    verdict = VERDICT_PATH
+                    break
+        finally:
+            # the hook reaches the state again through `query`; dropping
+            # it lets the state go without waiting for the cycle collector
+            if state is not None:
+                state.pause = None
     metrics = run.metrics(
         touched, verdict=verdict, aborted=aborted,
         normalizations=["degree-reduction", f"virtual-self-loop:{t}"],

@@ -10,6 +10,7 @@ multiplier with q*d <= 2**width.
 from __future__ import annotations
 
 import hashlib
+from array import array
 import warnings
 from typing import Sequence
 
@@ -193,6 +194,36 @@ def alu_scratch_bits(width: int) -> int:
     return 2 * GROUP_BITS + 1 + bits_for(max(width, 2))
 
 
+class RegisterSpan:
+    """Register indices of one file, checked once, with their tape layout.
+
+    Built by `RegisterFile.span`: `indices` in the caller's order, all in
+    range and distinct; `offset` and `bits` locate the tape span from the
+    lowest to the highest of them; `shifts` holds each register's bit
+    position inside that span (an array, so a program's many spans cost no
+    int object per register); `full` says whether they fill it. A span
+    depends only on the file's base and width, so it serves every file of
+    the same geometry (files that differ only in their modulus), and
+    `gather`, `scatter` and `shift_indices` take it without checking again.
+    """
+
+    __slots__ = ("indices", "offset", "bits", "shifts", "full")
+
+    def __init__(self, indices: tuple[int, ...], offset: int, bits: int,
+                 shifts: array, full: bool):
+        self.indices = indices
+        self.offset = offset
+        self.bits = bits
+        self.shifts = shifts
+        self.full = full
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self):
+        return iter(self.indices)
+
+
 class RegisterFile:
     """A view of tape spans as `count` registers of `width` bits, mod `modulus`.
 
@@ -290,33 +321,50 @@ class RegisterFile:
         """Add beta mod 2**width to every register; inverse is 2**width - beta."""
         self.shift_indices(range(self.count), beta)
 
-    def shift_indices(self, indices: Sequence[int], beta: int) -> None:
+    def shift_indices(self, indices: Sequence[int] | RegisterSpan, beta: int) -> None:
         """Add beta mod 2**width to the listed registers, as one `scatter`."""
         if not 0 <= beta < (1 << self.width):
             raise ValueError("shift must be in [0, 2**width)")
+        span = indices if isinstance(indices, RegisterSpan) else self.span(indices)
         mask = self._mask
-        self.scatter(indices, [(v + beta) & mask for v in self.gather(indices)])
+        self.scatter(span, [(v + beta) & mask for v in self.gather(span)])
 
-    def _index_error(self, lo: int, hi: int) -> IndexError:
-        bad = lo if lo < 0 else hi
-        return IndexError(f"register {bad} out of range [0, {self.count})")
+    def span(self, indices: Sequence[int]) -> RegisterSpan:
+        """The listed registers as a `RegisterSpan`, checked once here.
 
-    def gather(self, indices: Sequence[int]) -> list[int]:
+        Raises IndexError for an index outside [0, count) and ValueError for
+        a repeated one.
+        """
+        indices = tuple(indices)
+        if not indices:
+            return RegisterSpan((), self.base, 0, array("q"), True)
+        lo, hi = min(indices), max(indices)
+        if lo < 0 or hi >= self.count:
+            bad = lo if lo < 0 else hi
+            raise IndexError(f"register {bad} out of range [0, {self.count})")
+        if len(set(indices)) != len(indices):
+            raise ValueError("span indices must be distinct")
+        w = self.width
+        return RegisterSpan(
+            indices, self.base + lo * w, (hi - lo + 1) * w,
+            array("q", [(i - lo) * w for i in indices]), hi - lo + 1 == len(indices),
+        )
+
+    def gather(self, indices: Sequence[int] | RegisterSpan) -> list[int]:
         """Values of the listed registers via one tape read over their span.
 
         The span runs from the lowest to the highest index, so callers keep
         the indices close together (one layer of a layered file).
         """
-        if not indices:
+        span = indices if isinstance(indices, RegisterSpan) else self.span(indices)
+        if not span.shifts:
             return []
-        lo, hi = min(indices), max(indices)
-        if lo < 0 or hi >= self.count:
-            raise self._index_error(lo, hi)
-        w, mask = self.width, self._mask
-        blob = self.tape.read_bits(self.base + lo * w, (hi - lo + 1) * w)
-        return [(blob >> ((i - lo) * w)) & mask for i in indices]
+        blob = self.tape.read_bits(span.offset, span.bits)
+        mask = self._mask
+        return [(blob >> pos) & mask for pos in span.shifts]
 
-    def scatter(self, indices: Sequence[int], values: Sequence[int]) -> None:
+    def scatter(self, indices: Sequence[int] | RegisterSpan,
+                values: Sequence[int]) -> None:
         """Write the listed registers via one read and one write of their span.
 
         Only the listed registers change (the span is patched with an XOR
@@ -324,33 +372,27 @@ class RegisterFile:
         they become dirty. Indices and values are all checked before the
         write, so a rejected call leaves the tape unchanged.
         """
-        if len(values) != len(indices):
-            raise ValueError(f"{len(values)} values for {len(indices)} registers")
-        if not indices:
+        span = indices if isinstance(indices, RegisterSpan) else self.span(indices)
+        if len(values) != len(span.shifts):
+            raise ValueError(f"{len(values)} values for {len(span.shifts)} registers")
+        if not values:
             return
-        lo, hi = min(indices), max(indices)
-        if lo < 0 or hi >= self.count:
-            raise self._index_error(lo, hi)
-        if len(set(indices)) != len(indices):
-            raise ValueError("scatter indices must be distinct")
-        w, mask = self.width, self._mask
+        mask = self._mask
         if min(values) < 0 or max(values) > mask:
             bad = next(v for v in values if v < 0 or v > mask)
-            raise ValueError(f"value {bad} does not fit in {w} bits")
-        off, span = self.base + lo * w, (hi - lo + 1) * w
-        if hi - lo + 1 == len(indices):
+            raise ValueError(f"value {bad} does not fit in {self.width} bits")
+        if span.full:
             blob = 0
-            for i, v in zip(indices, values):
-                blob |= v << ((i - lo) * w)
+            for pos, v in zip(span.shifts, values):
+                blob |= v << pos
         else:
-            blob = self.tape.read_bits(off, span)
+            blob = self.tape.read_bits(span.offset, span.bits)
             delta = 0
-            for i, v in zip(indices, values):
-                pos = (i - lo) * w
+            for pos, v in zip(span.shifts, values):
                 delta |= (((blob >> pos) & mask) ^ v) << pos
             blob ^= delta
-        self.tape.write_bits(off, span, blob)
-        self._dirty.update(indices)
+        self.tape.write_bits(span.offset, span.bits, blob)
+        self._dirty.update(span.indices)
 
     def read_block(self, start: int, count: int) -> list[int]:
         """Values of registers start..start+count-1 via one tape read."""

@@ -22,7 +22,7 @@ from catgraph.connectivity import (
     st_nonzero_mod,
 )
 from catgraph.errors import BudgetExceededError
-from catgraph.graphs import AdjacencyGraph
+from catgraph.graphs import AdjacencyGraph, GraphOracle
 from catgraph.oracles import bfs_reach, count_paths_layers, zeta_table
 from catgraph.tape import CatalyticTape, WorkspaceMeter, allocate_registers, make_tape
 from catgraph.walks import dag_tape_bits, estimate_dag, estimate_general, estimate_stationary
@@ -571,6 +571,61 @@ def test_revertible_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _two_rings(k):
+    """Two disjoint directed k-cycles; no path from 0 to k."""
+    edges = [(off + i, off + (i + 1) % k) for off in (0, k) for i in range(k)]
+    return AdjacencyGraph.from_edges(2 * k, edges), 0, k
+
+
+def test_revertible_without_hook_gives_the_program_no_pause_callback(monkeypatch):
+    callbacks = []
+    init = LayeredPushState.__init__
+
+    def counting_init(self, *args, pause=None, **kwargs):
+        def counted(stage):
+            callbacks.append(stage)
+            pause(stage)
+
+        init(self, *args, pause=None if pause is None else counted, **kwargs)
+
+    monkeypatch.setattr(LayeredPushState, "__init__", counting_init)
+    g, s, t = _two_rings(4)
+    ans = connect_revertible(g, s, t, seed=1)
+    assert ans.verdict == "no-path" and ans.metrics.tape_restored
+    assert callbacks == []
+
+
+def test_rand_builds_its_program_once_per_call():
+    g, s, t = _two_rings(8)
+    with fail_at(GraphOracle, "in_neighbors", None) as counter:
+        ans = connect_rand(g, s, t, seed=1)
+    assert ans.verdict == "no-path"
+    # one query per vertex for the program, and one for the self-loop check
+    assert counter.calls == 2 * g.n
+
+
+def test_revertible_query_reads_each_register_once_per_pause():
+    g, s, t = AdjacencyGraph.from_edges(4, [(0, 1), (1, 0), (2, 3)]), 0, 3
+    params = revertible_parameters(g)
+    ell = params["ell"]
+    tape = make_tape(connect_revertible_tape_bits(g), "random", 1)
+    snap = tape.snapshot()
+    reg = params["view_n"] + s  # register s of layer 1
+    bits = range(reg * ell, (reg + 1) * ell)
+    answers = []
+
+    def hook(point, query):
+        # asked at two pause points, each of which reads the register once
+        if point.iteration == 0 and point.stage in ("push:b=0:layer=1",
+                                                    "reverse:b=0:layer=1"):
+            answers.append([query(idx) for idx in bits])
+
+    with fail_at(LayeredPushState, "original_value", None) as counter:
+        connect_revertible(g, s, t, seed=1, kappa=1.0, tape=tape, pause_hook=hook)
+    assert answers == [[(snap[idx >> 3] >> (idx & 7)) & 1 for idx in bits]] * 2
+    assert counter.calls == 2
 
 
 def _fault_sweep_cases():

@@ -10,6 +10,8 @@ from catgraph.errors import (
     MeterError,
     SpanError,
 )
+from catgraph.connectivity import LayeredPushState, ParityProgram
+from catgraph.graphs import AdjacencyGraph
 from catgraph.tape import (
     CatalyticTape,
     WorkspaceMeter,
@@ -347,6 +349,80 @@ def test_gather_scatter_reject_bad_input_without_writing():
     assert file.gather([]) == []
     file.scatter([], [])
     assert tape.snapshot() == before
+
+
+def test_span_rejects_bad_indices_when_built():
+    tape = make_tape(100, "random", seed=16)
+    file = allocate_registers(tape, 5, 9, 10, 1000)
+    for bad in ([0, 9], [-1, 3], range(10)):
+        with pytest.raises(IndexError):
+            file.span(bad)
+    for bad in ([3, 3], [1, 4, 1]):
+        with pytest.raises(ValueError):
+            file.span(bad)
+    span = file.span([7, 2, 4])
+    assert len(span) == 3 and list(span) == [7, 2, 4]
+    assert (span.offset, span.bits, list(span.shifts), span.full) == (25, 60, [50, 0, 20], False)
+    assert file.span(range(3, 6)).full
+
+
+def test_span_ops_match_list_ops():
+    rng = random.Random(17)
+    for width in range(1, 71):
+        base = rng.randrange(1, 8) + 8 * rng.randrange(3)  # never byte-aligned
+        count = rng.randint(1, 12)
+        nbits = base + count * width + rng.randrange(9)
+        # any order; half of the lists fill their span
+        idx = rng.sample(range(count), count if width % 2 else rng.randint(1, count))
+        values = [rng.getrandbits(width) for _ in idx]
+        beta = rng.getrandbits(width)
+        files = [allocate_registers(make_tape(nbits, "random", width), base, count,
+                                    width, 2) for _ in range(2)]
+        by_list, by_span = files
+        span = by_span.span(idx)
+        assert by_span.gather(span) == by_list.gather(idx), width
+        by_list.scatter(idx, values)
+        by_span.scatter(span, values)
+        assert by_span.tape.snapshot() == by_list.tape.snapshot(), width
+        by_list.shift_indices(idx, beta)
+        by_span.shift_indices(span, beta)
+        assert by_span.tape.snapshot() == by_list.tape.snapshot(), width
+        assert by_span.gather(span) == [(v + beta) % (1 << width) for v in values]
+        assert by_span._dirty == by_list._dirty == set(idx)
+
+
+def test_empty_span():
+    tape = make_tape(100, "random", seed=18)
+    file = allocate_registers(tape, 5, 9, 10, 1000)
+    before = tape.snapshot()
+    span = file.span([])
+    assert len(span) == 0 and list(span) == []
+    assert file.gather(span) == []
+    file.scatter(span, [])
+    file.shift_indices(span, 3)
+    with pytest.raises(ValueError):
+        file.scatter(span, [1])
+    assert tape.snapshot() == before
+    assert file.touched_bits == 0
+
+
+def test_program_rejects_a_file_of_another_geometry():
+    g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
+    tape = make_tape(200, "random", seed=19)
+    other = make_tape(200, "random", seed=19)
+    parity = ParityProgram(g, 0, 3, allocate_registers(tape, 4, 6, 8, 5))
+    layered = LayeredPushState(g, 0, 1, allocate_registers(tape, 4, 6, 8, 5))
+    for prog in (parity, layered):
+        for bad in (allocate_registers(other, 4, 6, 8, 5),
+                    allocate_registers(tape, 5, 6, 8, 5),
+                    allocate_registers(tape, 4, 6, 9, 5),
+                    allocate_registers(tape, 4, 7, 8, 5)):
+            with pytest.raises(ValueError):
+                prog.use_file(bad)
+        # another modulus over the same registers is the point of use_file
+        same = allocate_registers(tape, 4, 6, 8, 7)
+        prog.use_file(same)
+        assert prog.file is same
 
 
 def test_stream_residue_matches_direct_mod():

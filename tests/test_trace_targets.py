@@ -52,6 +52,10 @@ def test_trace_targets_exist_and_record_every_layer():
             "estimate_stationary"} <= drivers_of("walks.registers")
     assert {"connect_det", "connect_rand",
             "connect_revertible"} <= drivers_of("connectivity.answer")
+    # the randomized drivers shift their register spans through the traced
+    # `shift_indices`, which reports each span's length as its register count
+    assert {"connect_rand", "connect_revertible"} <= drivers_of("tape.shift")
+    assert groups["tape.shift"]["amount"] > 0
     # each program's phases land in its own layer group
     assert drivers_of("connectivity.phase") == {"connect_det", "connect_rand"}
     assert drivers_of("connectivity.layer_push") == {"connect_revertible"}
