@@ -243,6 +243,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         if args.command == "connect":
             return cmd_connect(args)
         if args.command == "walk":

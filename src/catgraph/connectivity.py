@@ -1,19 +1,21 @@
 """Edge-push register programs and the three s->t connectivity drivers.
 
-Two register programs do the work:
+One banked program does the work: one register per vertex in each of k
+banks, each phase pushing one bank's residues along the edges into the
+next bank, undone by the reverse sequence. It has two constructors:
 
-* a layered program over {0..T} x V whose push/reverse sequences leave the
-  register difference between the b=1 and b=0 runs equal to the number of
-  length-i s->v paths mod q (and which supports answering "what was this
-  register's original value" at any pause point);
-* a two-bank program over {0,1} x V that alternates parity per phase, adds a
-  dummy self-edge at every vertex, and computes (mod q) a value that is
+* a layered program, k = T+1 layers over V, whose push/reverse sequences
+  leave the register difference between the b=1 and b=0 runs equal to the
+  number of length-T s->v paths mod q (and which supports answering "what
+  was this register's original value" at any pause point);
+* a parity program, k = 2 banks over V that alternate per phase, with a
+  dummy self-edge at every vertex, which computes (mod q) a value that is
   nonzero over the integers exactly when an s->t path of length <= T exists.
 
 The drivers wrap these with modulus/shift selection: deterministic (q = 2**l
 large enough for exactness), randomized (small random modulus plus a random
 shift, may abort), and the locally revertible variant on the degree-reduced
-graph.
+graph. The two randomized drivers share one round loop.
 """
 
 from __future__ import annotations
@@ -64,81 +66,50 @@ class PausePoint:
 
 
 # ---------------------------------------------------------------------------
-# Push kernel shared by both programs
-# ---------------------------------------------------------------------------
-
-
-def _push_layer(
-    file: RegisterFile,
-    src: RegisterSpan,
-    dst: RegisterSpan,
-    sources: Sequence[Sequence[int]],
-    sign: int,
-) -> None:
-    """Edge pushes from one span of registers into another.
-
-    The k-th destination gains sign times the sum of the residues of the
-    source registers at the positions `sources[k]`. Every source and every
-    destination with sources is validated before anything is written. Each
-    span is read with one `gather` and `dst` is written with one `scatter`,
-    so registers left out of the spans stay untouched and clean.
-    """
-    q, limit = file.modulus, file._limit
-    src_vals = file.gather(src)
-    dst_vals = file.gather(dst)
-    if src_vals and max(src_vals) >= limit:
-        k = next(k for k, val in enumerate(src_vals) if val >= limit)
-        raise InvalidRegisterError(
-            f"register {src.indices[k]} holds {src_vals[k]} >= q*d = {limit}"
-        )
-    res = [val % q for val in src_vals]
-    out = []
-    for val, srcs in zip(dst_vals, sources):
-        if srcs:
-            if val >= limit:
-                raise InvalidRegisterError(
-                    f"register {dst.indices[len(out)]} holds {val} >= q*d = {limit}"
-                )
-            total = 0
-            for u in srcs:
-                total += res[u]
-            b = val % q
-            val = val - b + (b + sign * total) % q
-        out.append(val)
-    file.scatter(dst, out)
-
-
-# ---------------------------------------------------------------------------
-# The run protocol shared by both programs
+# The banked push program
 # ---------------------------------------------------------------------------
 
 
 class _PushProgram:
-    """Add b at register s, push T phases; undo by the reverse sequence.
+    """Add b at register s, push T phases over k banks; undo by the reverse.
 
-    Phase i is the subclass's `_push(i, sign)`: sign 1 applies it, -1
-    subtracts the same sums again. `pushed` counts the phases currently
-    applied (always phases 0..pushed-1) and `b_applied` the start increment;
-    each is updated only after its tape write succeeds, so `unwind` can undo
-    a run cut short anywhere. `pause(stage)`, when given, is called after
-    every step of `run_push` and `run_reverse`.
+    Phase i pushes bank `banks[i % k]` into the destination span
+    `_dst[(i + 1) % k]`: the j-th destination gains the sum of the residues
+    of the bank's registers at the positions `_sources[j]`. With k = 2 this
+    is the parity program, with k = T + 1 the layered one. Register
+    `r * stride + v` belongs to vertex v in bank r.
 
-    A subclass builds its register spans once, from the file it is given;
-    `use_file` moves the program to another file over the same registers,
-    so a randomized driver builds one program per call and hands it each
-    iteration's file.
+    The program's reversible state is three counts, each updated only after
+    its tape write succeeds: `pushed` phases (always phases 0..pushed-1),
+    the start increment `b_applied`, and `shifted`, the banks carrying the
+    shift `beta` (always a prefix of `banks`). So `unwind` and `unshift` can
+    undo a run cut short anywhere. `pause(stage)`, when given, is called
+    after every step of `run_push` and `run_reverse`.
+
+    A subclass builds its spans once, from the file it is given; `use_file`
+    moves the program to another file over the same registers, so a
+    randomized driver builds one program per call and hands it each round's
+    file.
     """
 
     def __init__(self, s: int, T: int, file: RegisterFile,
-                 steps: StepCounter | None,
-                 pause: Callable[[str], None] | None = None):
+                 steps: StepCounter | None, banks: Sequence[RegisterSpan],
+                 dst: Sequence[RegisterSpan], sources: Sequence[Sequence[int]],
+                 stride: int, pause: Callable[[str], None] | None = None):
         self.s = s
         self.T = T
         self.file = file
         self.steps = steps or StepCounter()
         self.pause = pause
+        self.banks = banks
+        self._dst = dst
+        self._sources = sources
+        self.stride = stride
+        self.pushes_per_phase = sum(len(l) for l in sources)
         self.pushed = 0
         self.b_applied = 0
+        self.shifted = 0
+        self.beta = 0
 
     def use_file(self, file: RegisterFile) -> None:
         """Run on `file` from now on; only its modulus may differ."""
@@ -150,16 +121,53 @@ class _PushProgram:
             )
         self.file = file
 
-    def _push(self, i: int, sign: int) -> None:
-        raise NotImplementedError
+    def layer_push(self, i: int, reverse: bool = False) -> None:
+        """Apply phase i, or with `reverse` subtract the same sums again.
+
+        Every source and every destination with sources is validated before
+        anything is written. Each span is read with one `gather` and the
+        destinations are written with one `scatter`, so registers left out
+        of the spans stay untouched and clean.
+        """
+        file, k = self.file, len(self.banks)
+        src, dst = self.banks[i % k], self._dst[(i + 1) % k]
+        q, limit = file.modulus, file._limit
+        src_vals = file.gather(src)
+        dst_vals = file.gather(dst)
+        if src_vals and max(src_vals) >= limit:
+            j = next(j for j, val in enumerate(src_vals) if val >= limit)
+            raise InvalidRegisterError(
+                f"register {src.indices[j]} holds {src_vals[j]} >= q*d = {limit}"
+            )
+        res = [val % q for val in src_vals]
+        sign = -1 if reverse else 1
+        out = []
+        for val, srcs in zip(dst_vals, self._sources):
+            if srcs:
+                if val >= limit:
+                    raise InvalidRegisterError(
+                        f"register {dst.indices[len(out)]} holds {val} >= q*d = {limit}"
+                    )
+                total = 0
+                for u in srcs:
+                    total += res[u]
+                b = val % q
+                val = val - b + (b + sign * total) % q
+            out.append(val)
+        file.scatter(dst, out)
+        self.steps.add(self.pushes_per_phase)
 
     def forward_phase(self) -> None:
-        self._push(self.pushed, 1)
+        self.layer_push(self.pushed)
         self.pushed += 1
 
     def reverse_phase(self) -> None:
-        self._push(self.pushed - 1, -1)
+        self.layer_push(self.pushed - 1, reverse=True)
         self.pushed -= 1
+
+    def answer_index(self, t: int) -> int:
+        # the step-T values live in the bank last pushed to
+        return (self.T % len(self.banks)) * self.stride + t
 
     def run_push(self, b: int) -> None:
         assert self.pushed == 0
@@ -194,14 +202,24 @@ class _PushProgram:
             self.file.sub_mod(self.s, self.b_applied)
             self.b_applied = 0
 
+    def shift(self, beta: int) -> None:
+        """Add beta mod 2**width to every bank's registers, bank by bank."""
+        assert self.shifted == 0
+        self.beta = beta
+        for bank in self.banks:
+            self.file.shift_indices(bank, beta)
+            self.shifted += 1
 
-# ---------------------------------------------------------------------------
-# Two-bank parity program (nonzero detection)
-# ---------------------------------------------------------------------------
+    def unshift(self) -> None:
+        """Remove the shift from the banks that carry it, last bank first."""
+        inverse = (-self.beta) & self.file._mask
+        while self.shifted:
+            self.file.shift_indices(self.banks[self.shifted - 1], inverse)
+            self.shifted -= 1
 
 
 class ParityProgram(_PushProgram):
-    """Registers R[bank*n + v] for bank in {0,1}; phase i pushes bank i & 1.
+    """Two banks R[bank*n + v]; phase i pushes bank i % 2 into the other.
 
     A phase accumulates, into the other bank, each vertex's own residue (the
     dummy self-edge) plus the residues of its in-neighbors.
@@ -212,21 +230,9 @@ class ParityProgram(_PushProgram):
         n = graph.n
         if file.count != 2 * n:
             raise ValueError("parity program needs exactly 2n registers")
-        super().__init__(s, T, file, steps)
-        self.n = n
-        self.banks = (file.span(range(n)), file.span(range(n, 2 * n)))
-        # each vertex's own residue (the dummy self-edge) and its in-neighbors'
-        self.sources = [[v, *graph.in_neighbors(v)] for v in range(n)]
-        self.pushes_per_phase = sum(len(l) for l in self.sources)
-
-    def _push(self, i: int, sign: int) -> None:
-        _push_layer(self.file, self.banks[i & 1], self.banks[(i + 1) & 1],
-                    self.sources, sign)
-        self.steps.add(self.pushes_per_phase)
-
-    def answer_index(self, t: int) -> int:
-        # step-T values live in the bank last pushed to
-        return (self.T % 2) * self.n + t
+        banks = (file.span(range(n)), file.span(range(n, 2 * n)))
+        sources = [[v, *graph.in_neighbors(v)] for v in range(n)]
+        super().__init__(s, T, file, steps, banks, banks, sources, n)
 
 
 def st_nonzero_mod(
@@ -243,16 +249,12 @@ def st_nonzero_mod(
     return _extract_residue(prog, prog.answer_index(t), meter)
 
 
-# ---------------------------------------------------------------------------
-# Layered program (exact counting + local revertibility)
-# ---------------------------------------------------------------------------
-
-
 class LayeredPushState(_PushProgram):
-    """Registers R[i*n + v] for layers i in {0..T}; phase i pushes i into i+1.
+    """T+1 banks R[i*n + v], one per layer; phase i pushes layer i into i+1.
 
-    The pushed-phase count and the start increment are exactly the state
-    needed to answer original-value queries at every pause point.
+    Only the relevant vertices' registers are banks. The program's
+    reversible state is exactly what answers original-value queries at
+    every pause point.
     """
 
     def __init__(
@@ -269,49 +271,39 @@ class LayeredPushState(_PushProgram):
         n = graph.n
         if file.count != (T + 1) * n:
             raise ValueError("layered program needs (T+1)*n registers")
-        super().__init__(s, T, file, steps, pause)
-        self.n_ids = n
         ids = range(n) if relevant is None else sorted(relevant)
         self.relevant_set = set(ids)
         self.in_lists = {v: graph.in_neighbors(v) for v in ids}
         if any(u not in self.relevant_set
                for l in self.in_lists.values() for u in l):
             raise ValueError("every in-neighbor of a relevant vertex must be relevant")
-        # per layer, the spans of the relevant registers (the push sources,
-        # and what a driver shifts and scans) and of those of them with
-        # in-neighbors (the destinations); sources by position in ids
+        # per layer, the span of the relevant registers (the bank) and of
+        # those of them with in-neighbors (the destinations); sources are
+        # positions in the bank
         pos = {v: k for k, v in enumerate(ids)}
         dsts = [v for v in ids if self.in_lists[v]]
-        self.layers = [file.span([i * n + v for v in ids]) for i in range(T + 1)]
-        self._dst = [file.span([i * n + v for v in dsts]) for i in range(T + 1)]
-        self._sources = [[pos[u] for u in self.in_lists[v]] for v in dsts]
-        self.pushes_per_layer = sum(len(l) for l in self.in_lists.values())
+        super().__init__(
+            s, T, file, steps,
+            [file.span([i * n + v for v in ids]) for i in range(T + 1)],
+            [file.span([i * n + v for v in dsts]) for i in range(T + 1)],
+            [[pos[u] for u in self.in_lists[v]] for v in dsts],
+            n, pause,
+        )
         # each vertex's in-neighbors in layer 0; `original_value` reads them
         # in layer i - 1 by moving the span i - 1 layers up the tape
         self._in_spans = {v: file.span(l) for v, l in self.in_lists.items()}
         self._layer_bits = n * file.width
-
-    def _reg(self, i: int, v: int) -> int:
-        return i * self.n_ids + v
-
-    def layer_push(self, i: int, reverse: bool = False) -> None:
-        """Push (or reverse-push) every edge from layer i into layer i+1."""
-        _push_layer(self.file, self.layers[i], self._dst[i + 1], self._sources,
-                    -1 if reverse else 1)
-        self.steps.add(self.pushes_per_layer)
-
-    def _push(self, i: int, sign: int) -> None:
-        self.layer_push(i, sign < 0)
 
     def original_value(self, i: int, v: int) -> int:
         """Initial value of register (i, v) at the current pause point.
 
         If layer i is currently pushed, the register equals its initial value
         plus the (unchanged) layer-(i-1) residues of v's in-neighbors; layer 0
-        carries only the start increment. The tape is read, never written.
+        carries only the start increment; a shifted layer carries beta on
+        top. The tape is read, never written.
         """
         file = self.file
-        value = file.read(self._reg(i, v))
+        value = file.read(i * self.stride + v)
         if v not in self.relevant_set:
             return value
         q, limit = file.modulus, file._limit
@@ -327,19 +319,22 @@ class LayeredPushState(_PushProgram):
                 val = (blob >> pos) & mask
                 if val >= limit:
                     raise InvalidRegisterError(
-                        f"register {self._reg(i - 1, u)} holds {val} >= q*d = {limit}"
+                        f"register {(i - 1) * self.stride + u} holds {val} "
+                        f">= q*d = {limit}"
                     )
                 delta += val % q
         b = value % q
-        return value - b + (b - delta) % q
-
-    def answer_index(self, t: int) -> int:
-        # length-T path counts live in the last layer
-        return self._reg(self.T, t)
+        value = value - b + (b - delta) % q
+        if i < self.shifted:
+            value = (value - self.beta) & file._mask
+        return value
 
 
 def revert_query(state: LayeredPushState, reg: tuple[int, int]) -> int:
-    """Original value of register reg=(layer, vertex); see LayeredPushState."""
+    """Original value of register reg=(layer, vertex), shift removed too.
+
+    See `LayeredPushState.original_value`.
+    """
     return state.original_value(reg[0], reg[1])
 
 
@@ -443,48 +438,6 @@ def _extract_grouped(prog, idx, meter) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Shift:
-    """A random shift beta over a file's registers, applied layer by layer.
-
-    `layers` holds the register span of each layer; one `shift_indices`
-    call moves one layer, atomically. `done` counts the layers that carry the
-    shift, always a prefix of `layers`, so `undo` removes it from exactly
-    those, top layer first.
-    """
-
-    def __init__(self, file: RegisterFile, layers: Sequence[RegisterSpan], beta: int):
-        self.file = file
-        self.layers = layers
-        self.beta = beta
-        self.done = 0
-
-    def apply(self) -> None:
-        for regs in self.layers:
-            self.file.shift_indices(regs, self.beta)
-            self.done += 1
-
-    def undo(self) -> None:
-        inverse = (-self.beta) & self.file._mask
-        while self.done:
-            self.file.shift_indices(self.layers[self.done - 1], inverse)
-            self.done -= 1
-
-    def run(self, body: Callable[[], int | None]) -> int | None:
-        """body() with the shift applied; the shift is gone on every exit.
-
-        The normal-path undo sits inside the `try`, so an exception raised
-        by it, too, is followed by an undo from the layers still shifted.
-        """
-        try:
-            self.apply()
-            result = body()
-            self.undo()
-        except BaseException:
-            self.undo()
-            raise
-        return result
-
-
 def _trivial_answer(verdict: str) -> ConnectivityAnswer:
     return ConnectivityAnswer(verdict, RunMetrics(verdict=verdict, tape_restored=True))
 
@@ -545,6 +498,63 @@ def connect_det(
     return ConnectivityAnswer(verdict, metrics)
 
 
+def _random_rounds(
+    prog: _PushProgram,
+    run: DriverRun,
+    rng: random.Random,
+    iters: int,
+    q_hi: int,
+    t: int,
+    extract: Callable[..., int],
+) -> tuple[str, int]:
+    """Up to `iters` rounds of a random modulus and shift; (verdict, touched).
+
+    A round draws q in [2, q_hi) and a shift beta, hands the program a file
+    of modulus q over its registers, shifts every bank, and extracts the
+    answer register with `extract` if the scan finds every bank register
+    valid. The shift is removed on every exit path: the normal-path
+    `unshift` sits inside the `try`, so an exception raised by it, too, is
+    followed by an unshift from the banks still shifted. An invalid
+    register aborts, a nonzero answer is a path, and all-zero rounds say
+    no path. `prog.pause`, when set, also hears "shifted" and "unshifted"
+    (or "abort-unshifted"). `touched` is the most bits one round touched.
+    """
+    file = prog.file
+    tape, base, count, ell = file.tape, file.base, file.count, file.width
+    # scanning, then unshifting, every bank register is one step each
+    regs = sum(len(bank) for bank in prog.banks)
+    touched = 0
+    for _ in range(iters):
+        q = rng.randrange(2, q_hi)
+        beta = rng.getrandbits(ell)
+        file = allocate_registers(tape, base, count, ell, q)
+        prog.use_file(file)
+        try:
+            prog.shift(beta)
+            run.steps.add(regs)
+            if prog.pause is not None:
+                prog.pause("shifted")
+            limit = file._limit
+            value = None
+            if all(max(file.gather(bank)) < limit for bank in prog.banks):
+                value = extract(prog, t, meter=run.meter)
+            prog.unshift()
+        except BaseException:
+            prog.unshift()
+            raise
+        run.steps.add(regs)
+        touched = max(touched, file.touched_bits)
+        if value is None:
+            if prog.pause is not None:
+                prog.pause("abort-unshifted")
+            return VERDICT_ABORT, touched
+        if prog.pause is not None:
+            prog.pause("unshifted")
+        if value != 0:
+            return VERDICT_PATH, touched
+    return VERDICT_NO_PATH, touched
+
+
 def rand_parameters(n: int) -> tuple[int, int]:
     """(modulus ceiling P**2, register width) for the randomized driver."""
     P = ceil_log2(nonzero_value_bound(n))
@@ -583,45 +593,19 @@ def connect_rand(
     q_hi, ell = rand_parameters(n)
     if tape is None:
         tape = CatalyticTape.zeros(connect_rand_tape_bits(n))
-    rng = random.Random(seed)
     iters = iteration_count(n, kappa)
     m = graph.edge_count()
-    verdict = VERDICT_NO_PATH
-    aborted = False
-    touched = 0
     with DriverRun(
         tape, meter, width=ell, vertex=n, nbr_index=n + 2, layer=n + 2,
         sigma=2, b=2, edge_cursor=m + n + 2, iteration=iters + 1,
         q=q_hi, d=1 << ell, beta=1 << ell,
     ) as run:
-        prog = None
-
-        def scan_and_count() -> int | None:
-            run.steps.add(2 * n)
-            limit = file._limit
-            if all(max(file.gather(bank)) < limit for bank in prog.banks):
-                return st_nonzero_mod(prog, t, meter=run.meter)
-            return None
-
-        for _ in range(iters):
-            q = rng.randrange(2, q_hi)
-            beta = rng.getrandbits(ell)
-            file = allocate_registers(tape, 0, 2 * n, ell, q)
-            if prog is None:
-                prog = ParityProgram(graph, s, n, file, run.steps)
-            else:
-                prog.use_file(file)
-            zeta = _Shift(file, prog.banks, beta).run(scan_and_count)
-            run.steps.add(2 * n)
-            touched = max(touched, file.touched_bits)
-            if zeta is None:
-                aborted = True
-                verdict = VERDICT_ABORT
-                break
-            if zeta != 0:
-                verdict = VERDICT_PATH
-                break
-    metrics = run.metrics(touched, verdict=verdict, aborted=aborted,
+        prog = ParityProgram(graph, s, n, RegisterFile(tape, 0, 2 * n, ell, 2),
+                             run.steps)
+        verdict, touched = _random_rounds(prog, run, random.Random(seed), iters,
+                                          q_hi, t, st_nonzero_mod)
+    metrics = run.metrics(touched, verdict=verdict,
+                          aborted=verdict == VERDICT_ABORT,
                           normalizations=["dummy-self-edges"])
     return ConnectivityAnswer(verdict, metrics)
 
@@ -673,20 +657,14 @@ def connect_revertible(
     relevant = sorted(set(view.iter_nonisolated()) | {s, t})
     if tape is None:
         tape = CatalyticTape.zeros((T + 1) * n_ids * ell)
-    rng = random.Random(seed)
     iters = iteration_count(n, kappa)
     m = graph.edge_count()
-    rel_count = (T + 1) * len(relevant)
-    full = (1 << ell) - 1
-    verdict = VERDICT_NO_PATH
-    aborted = False
-    touched = 0
     pause_id = 0
-    state = None
+    iteration = 0
     cache = None  # original register values, only while a hook call runs
 
     def query(bit_index: int) -> int:
-        reg = file.register_at_bit(bit_index)
+        reg = state.file.register_at_bit(bit_index)
         if reg is None:
             return tape.read_bit(bit_index)
         layer, v = divmod(reg, n_ids)
@@ -695,68 +673,39 @@ def connect_revertible(
         current = None if cache is None else cache.get(reg)
         if current is None:
             current = state.original_value(layer, v)
-            if layer < shift.done:
-                current = (current - beta) & full
             if cache is not None:
                 cache[reg] = current
         return (current >> (bit_index - reg * ell)) & 1
 
     def fire(stage: str) -> None:
-        nonlocal pause_id, cache
-        if pause_hook is None:
-            return
+        nonlocal pause_id, iteration, cache
         cache = {}
         try:
             pause_hook(PausePoint(pause_id, iteration, stage), query)
         finally:
             cache = None
         pause_id += 1
+        if stage == "unshifted":  # the last pause point of a full round
+            iteration += 1
 
     with DriverRun(
         tape, meter, width=ell, vertex=n_ids, nbr_index=4, layer=T + 2, b=2,
         edge_cursor=2 * (m + n) + 2, iteration=iters + 1,
         q=q_hi, d=1 << ell, beta=1 << ell,
     ) as run:
-
-        def scan_and_count() -> int | None:
-            run.steps.add(rel_count)
-            fire("shifted")
-            limit = file._limit
-            if all(max(file.gather(layer)) < limit for layer in state.layers):
-                return st_count_mod(state, t, meter=run.meter)
-            return None
-
+        state = LayeredPushState(
+            looped, s, T, RegisterFile(tape, 0, (T + 1) * n_ids, ell, 2),
+            relevant=relevant, steps=run.steps,
+            pause=None if pause_hook is None else fire)
         try:
-            for iteration in range(iters):
-                q = rng.randrange(2, q_hi)
-                beta = rng.getrandbits(ell)
-                file = allocate_registers(tape, 0, (T + 1) * n_ids, ell, q)
-                if state is None:
-                    state = LayeredPushState(
-                        looped, s, T, file, relevant=relevant, steps=run.steps,
-                        pause=None if pause_hook is None else fire)
-                else:
-                    state.use_file(file)
-                shift = _Shift(file, state.layers, beta)
-                alpha = shift.run(scan_and_count)
-                run.steps.add(rel_count)
-                touched = max(touched, file.touched_bits)
-                if alpha is None:
-                    fire("abort-unshifted")
-                    aborted = True
-                    verdict = VERDICT_ABORT
-                    break
-                fire("unshifted")
-                if alpha != 0:
-                    verdict = VERDICT_PATH
-                    break
+            verdict, touched = _random_rounds(state, run, random.Random(seed),
+                                              iters, q_hi, t, st_count_mod)
         finally:
             # the hook reaches the state again through `query`; dropping
             # it lets the state go without waiting for the cycle collector
-            if state is not None:
-                state.pause = None
+            state.pause = None
     metrics = run.metrics(
-        touched, verdict=verdict, aborted=aborted,
+        touched, verdict=verdict, aborted=verdict == VERDICT_ABORT,
         normalizations=["degree-reduction", f"virtual-self-loop:{t}"],
     )
     return ConnectivityAnswer(verdict, metrics)

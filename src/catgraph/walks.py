@@ -86,18 +86,6 @@ class VisitCounters:
             transitions=[[0] * g.outdeg(v) for v in range(g.n)],
         )
 
-    def to_json_dict(self) -> dict:
-        """Maps keyed by vertex and by "vertex:edge-index"."""
-        return {
-            "visits": {str(v): c for v, c in enumerate(self.visits)},
-            "transitions": {
-                f"{v}:{r}": c
-                for v, row in enumerate(self.transitions)
-                for r, c in enumerate(row)
-            },
-            "n_reach": self.n_reach,
-        }
-
 
 def _rotor_walks(g: GraphOracle, s: int, mode: str, walks: int,
                  values: list[int], width: int, counters: VisitCounters | None,
@@ -405,6 +393,8 @@ def estimate_stationary(
     """
     if not 0 <= v_star < g.n:
         raise ValueError(f"v_star={v_star} out of range")
+    if not 0 <= start < g.n:
+        raise ValueError(f"start={start} out of range")
     for v in range(g.n):
         if g.outdeg(v) == 0:
             raise SinkVertexError(f"vertex {v} has no outgoing edges")

@@ -153,6 +153,18 @@ def test_trials_aggregate(path_graph):
     assert agg["verdicts"] == {"path": 3}
 
 
+@pytest.mark.parametrize("argv", [
+    ["connect", "{g}", "0", "2", "--trials", "0"],
+    ["walk", "{g}", "0", "2", "--dag", "--verify", "--trials", "0"],
+    ["walk", "{g}", "0", "2", "--dag", "--trials", "-1"],
+], ids=["connect", "walk-verify", "walk-negative"])
+def test_trials_below_one_is_input_error(capsys, path_graph, argv):
+    code = cli.main([a.format(g=path_graph) for a in argv])
+    assert code == cli.EXIT_INPUT_ERROR
+    out = capsys.readouterr()
+    assert out.out == "" and "--trials" in out.err
+
+
 def test_trials_parallel(path_graph):
     proc = run_cli(["connect", path_graph, "0", "2", "--algo", "rand",
                     "--trials", "4", "--parallel", "--json", "--rng-seed", "2"])

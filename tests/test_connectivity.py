@@ -16,6 +16,7 @@ from catgraph.connectivity import (
     connect_revertible_tape_bits,
     iteration_count,
     nonzero_value_bound,
+    rand_parameters,
     revert_query,
     revertible_parameters,
     st_count_mod,
@@ -577,6 +578,72 @@ def _two_rings(k):
     """Two disjoint directed k-cycles; no path from 0 to k."""
     edges = [(off + i, off + (i + 1) % k) for off in (0, k) for i in range(k)]
     return AdjacencyGraph.from_edges(2 * k, edges), 0, k
+
+
+def test_exact_step_counts_on_two_rings():
+    # n = 16, m = 16: det extracts in 5 groups of 4 runs, each run costing
+    # 1 + n(n+m); rand runs all 32 iterations, each a 2n scan, a 2n unshift
+    # and 4 streaming runs
+    g, s, t = _two_rings(8)
+    n, m = g.n, g.edge_count()
+    run_steps = 1 + n * (n + m)
+    assert connect_det(g, s, t).metrics.elapsed_steps == 20 * run_steps == 10_260
+    ans = connect_rand(g, s, t, seed=1)
+    assert ans.verdict == "no-path"
+    iters = iteration_count(n, 8.0)
+    assert ans.metrics.elapsed_steps == iters * (4 * n + 4 * run_steps) == 67_712
+    ans = connect_revertible(g, s, t, seed=1)
+    assert ans.verdict == "no-path"
+    assert ans.metrics.elapsed_steps == 257_152
+
+
+def _invalid_after_first_shift(tape, count, width, seed, q_hi):
+    """Make register 0 invalid once the first round's shift is applied.
+
+    Draws q and beta as the randomized drivers do, then writes q*d - beta
+    into bank 0's first register, so the shifted value is q*d.
+    """
+    rng = random.Random(seed)
+    q = rng.randrange(2, q_hi)
+    beta = rng.getrandbits(width)
+    file = allocate_registers(tape, 0, count, width, q)
+    assert q * file.multiplier < 1 << width
+    file.write(0, (q * file.multiplier - beta) % (1 << width))
+
+
+def test_rand_aborts_on_an_invalid_shifted_register():
+    g = AdjacencyGraph.from_edges(3, [(0, 1)])
+    q_hi, ell = rand_parameters(3)
+    tape = make_tape(connect_rand_tape_bits(3), "random", 0)
+    _invalid_after_first_shift(tape, 2 * g.n, ell, 1, q_hi)
+    before = tape.digest()
+    ans = connect_rand(g, 0, 2, seed=1, tape=tape)
+    assert ans.verdict == "abort" and ans.metrics.aborted
+    # the 2n-register scan and the 2n-register unshift, nothing else
+    assert ans.metrics.elapsed_steps == 4 * g.n
+    assert ans.metrics.tape_restored and tape.digest() == before
+
+
+def test_revertible_aborts_on_an_invalid_shifted_register():
+    g = AdjacencyGraph.from_edges(3, [(0, 1)])
+    params = revertible_parameters(g)
+    T, n_ids, ell = params["T"], params["view_n"], params["ell"]
+    tape = make_tape(connect_revertible_tape_bits(g), "random", 0)
+    _invalid_after_first_shift(tape, (T + 1) * n_ids, ell, 1, params["q_hi"])
+    snap = tape.snapshot()
+    points, bad = [], []
+
+    def hook(point, query):
+        points.append((point.pause_id, point.iteration, point.stage))
+        bad.extend(idx for idx in range(tape.nbits)
+                   if query(idx) != (snap[idx >> 3] >> (idx & 7)) & 1)
+
+    ans = connect_revertible(g, 0, 2, seed=1, tape=tape, pause_hook=hook)
+    assert ans.verdict == "abort" and ans.metrics.aborted
+    assert ans.metrics.elapsed_steps == 60
+    assert points == [(0, 0, "shifted"), (1, 0, "abort-unshifted")]
+    assert bad == []
+    assert ans.metrics.tape_restored and tape.snapshot() == snap
 
 
 def test_revertible_without_hook_gives_the_program_no_pause_callback(monkeypatch):

@@ -431,6 +431,17 @@ def test_stationary_rejects_sinks():
         estimate_stationary(g, 0, 2, 0.1)
 
 
+@pytest.mark.parametrize("start", [-1, 3])
+def test_stationary_rejects_start_out_of_range(start):
+    # -1 must not wrap to vertex n-1, whose rotor would then count twice
+    g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    tape = make_tape(stationary_tape_bits(g), "random", 0)
+    before = tape.digest()
+    with pytest.raises(ValueError, match="start"):
+        estimate_stationary(g, 0, 2, 0.5, tape, start=start)
+    assert tape.digest() == before
+
+
 def test_stationary_accuracy_vs_power_iteration():
     rng = random.Random(6)
     for trial in range(8):
@@ -549,12 +560,3 @@ def test_rotor_state_collision_demonstrates_information_loss():
     end_b, final_b = run(1, 0)
     assert end_a == end_b == 4
     assert final_a == final_b
-
-
-def test_counters_json_maps():
-    g = AdjacencyGraph.from_edges(2, [(0, 1)])
-    res = estimate_dag(g, 0, 1, 0.5, collect=True)
-    dumped = collect_counters(res).to_json_dict()
-    assert dumped["visits"]["0"] == res.walks
-    assert dumped["transitions"]["0:0"] == res.walks
-    assert dumped["n_reach"] == res.walks
