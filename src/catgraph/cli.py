@@ -136,21 +136,20 @@ def cmd_connect(args) -> int:
     if not (0 <= args.s < g.n and 0 <= args.t < g.n):
         raise GraphFormatError(f"s={args.s}, t={args.t} out of range for n={g.n}")
     rng_seed, tape_seed = _seeds(args)
-    exit_code = EXIT_OK
-    answers = []
+    jobs = [
+        (args.graph, args.s, args.t, args.algo, args.kappa,
+         args.tape_profile, tape_seed + k, rng_seed + k)
+        for k in range(args.trials)
+    ]
+    if args.parallel and args.trials > 1:
+        with ProcessPoolExecutor() as pool:
+            answers = list(pool.map(_run_connect_trial, *zip(*jobs)))
+    else:
+        answers = [_run_connect_trial(*job) for job in jobs]
+    for k, ans in enumerate(answers):
+        _emit(args, ans.metrics, "connect",
+              trial_seed=rng_seed + k if args.trials > 1 else None)
     if args.trials > 1:
-        jobs = [
-            (args.graph, args.s, args.t, args.algo, args.kappa,
-             args.tape_profile, tape_seed + k, rng_seed + k)
-            for k in range(args.trials)
-        ]
-        if args.parallel:
-            with ProcessPoolExecutor() as pool:
-                answers = list(pool.map(_run_connect_trial, *zip(*jobs)))
-        else:
-            answers = [_run_connect_trial(*job) for job in jobs]
-        for k, ans in enumerate(answers):
-            _emit(args, ans.metrics, "connect", trial_seed=rng_seed + k)
         counts = {}
         for ans in answers:
             counts[ans.verdict] = counts.get(ans.verdict, 0) + 1
@@ -158,23 +157,16 @@ def cmd_connect(args) -> int:
                    "verdicts": counts}
         print(json.dumps(summary, sort_keys=True) if (args.json or args.stable_json)
               else f"aggregate: {counts}")
-    else:
-        ans = _run_connect_trial(args.graph, args.s, args.t, args.algo, args.kappa,
-                                 args.tape_profile, tape_seed, rng_seed)
-        answers = [ans]
-        _emit(args, ans.metrics, "connect")
-    if any(a.verdict == connectivity.VERDICT_ABORT for a in answers):
-        exit_code = EXIT_ABORT
-    if args.verify and exit_code == EXIT_OK:
+    if any(ans.verdict == connectivity.VERDICT_ABORT for ans in answers):
+        return EXIT_ABORT
+    if args.verify:
         want = oracles.bfs_reach(g)[args.s][args.t]
         for ans in answers:
-            if ans.verdict == connectivity.VERDICT_ABORT:
-                continue
             if (ans.verdict == connectivity.VERDICT_PATH) != want:
                 print(f"verification mismatch: verdict={ans.verdict}, bfs={want}",
                       file=sys.stderr)
                 return EXIT_VERIFY_MISMATCH
-    return exit_code
+    return EXIT_OK
 
 
 def _run_walk_trial(graph_path, s, t, dag, steps, eps, profile, tape_seed):

@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InvalidRegisterError
 from .graphs import DegreeReducedView, GraphOracle, SelfLoopView
 from .metrics import DriverRun, RunMetrics, StepCounter
 from .tape import (
@@ -124,36 +123,24 @@ class _PushProgram:
     def layer_push(self, i: int, reverse: bool = False) -> None:
         """Apply phase i, or with `reverse` subtract the same sums again.
 
-        Every source and every destination with sources is validated before
-        anything is written. Each span is read with one `gather` and the
-        destinations are written with one `scatter`, so registers left out
-        of the spans stay untouched and clean.
+        Every source and every destination (each has sources: a parity
+        vertex its self-edge, a layered destination its in-neighbors) is
+        validated before anything is written. Each span is read with one
+        `gather_valid` and the destinations are written with one `scatter`,
+        so registers left out of the spans stay untouched and clean.
         """
         file, k = self.file, len(self.banks)
-        src, dst = self.banks[i % k], self._dst[(i + 1) % k]
-        q, limit = file.modulus, file._limit
-        src_vals = file.gather(src)
-        dst_vals = file.gather(dst)
-        if src_vals and max(src_vals) >= limit:
-            j = next(j for j, val in enumerate(src_vals) if val >= limit)
-            raise InvalidRegisterError(
-                f"register {src.indices[j]} holds {src_vals[j]} >= q*d = {limit}"
-            )
-        res = [val % q for val in src_vals]
+        dst = self._dst[(i + 1) % k]
+        q = file.modulus
+        res = [val % q for val in file.gather_valid(self.banks[i % k])]
         sign = -1 if reverse else 1
         out = []
-        for val, srcs in zip(dst_vals, self._sources):
-            if srcs:
-                if val >= limit:
-                    raise InvalidRegisterError(
-                        f"register {dst.indices[len(out)]} holds {val} >= q*d = {limit}"
-                    )
-                total = 0
-                for u in srcs:
-                    total += res[u]
-                b = val % q
-                val = val - b + (b + sign * total) % q
-            out.append(val)
+        for val, srcs in zip(file.gather_valid(dst), self._sources):
+            total = 0
+            for u in srcs:
+                total += res[u]
+            b = val % q
+            out.append(val - b + (b + sign * total) % q)
         file.scatter(dst, out)
         self.steps.add(self.pushes_per_phase)
 
@@ -306,7 +293,7 @@ class LayeredPushState(_PushProgram):
         value = file.read(i * self.stride + v)
         if v not in self.relevant_set:
             return value
-        q, limit = file.modulus, file._limit
+        q = file.modulus
         delta = 0
         if i == 0:
             if v == self.s:
@@ -317,11 +304,7 @@ class LayeredPushState(_PushProgram):
                 span.offset + (i - 1) * self._layer_bits, span.bits)
             for u, pos in zip(span.indices, span.shifts):
                 val = (blob >> pos) & mask
-                if val >= limit:
-                    raise InvalidRegisterError(
-                        f"register {(i - 1) * self.stride + u} holds {val} "
-                        f">= q*d = {limit}"
-                    )
+                file._require_valid((i - 1) * self.stride + u, val)
                 delta += val % q
         b = value % q
         value = value - b + (b - delta) % q
@@ -361,73 +344,50 @@ def _extract_residue(
 ) -> int:
     """Difference of register idx's residues across b=1 and b=0 runs, mod q.
 
-    Small (or non-power-of-two) q: one streaming mod-q pass per b, two
-    push/reverse pairs in total. Wide power-of-two q: the register is wider
-    than anything we may hold, so the difference is assembled GROUP_BITS at a
-    time with a borrow, re-running the push sequence once per group and per b.
+    Each pass runs push b=0, read, reverse, push b=1, read, reverse. Small
+    (or non-power-of-two) q takes one streaming pass, reading the residue
+    mod q. Wide power-of-two q makes the register wider than anything we
+    may hold, so pass g reads group g of both runs and the difference is
+    assembled GROUP_BITS at a time with a borrow.
 
-    Any exception, from a tape write, a meter charge or a pause hook,
-    unwinds the program before it propagates, so the registers are restored.
+    Any exception, from a tape write, a pause hook or a read, unwinds the
+    program before it propagates, so the registers are restored; a rejected
+    meter charge comes first and leaves nothing to undo.
     """
-    q = prog.file.modulus
-    try:
-        if q & (q - 1) == 0 and q.bit_length() - 1 > GROUP_BITS:
-            return _extract_grouped(prog, idx, meter)
-        return _extract_streaming(prog, idx, meter)
-    except BaseException:
-        prog.unwind()
-        raise
-
-
-def _extract_streaming(prog, idx, meter) -> int:
     file = prog.file
-    q = file.modulus
-    charged = 0
-    if meter is not None:
-        charged = meter.charge_scalars(
-            acc0=q, acc1=q, group=1 << min(GROUP_BITS, file.width), b=2,
-            position=file.width + 1,
-        )
+    q, width = file.modulus, file.width
+    kq = q.bit_length() - 1
+    grouped = q & (q - 1) == 0 and kq > GROUP_BITS
+    if grouped:
+        passes = (kq + GROUP_BITS - 1) // GROUP_BITS
+        scalars = dict(group0=1 << GROUP_BITS, group1=1 << GROUP_BITS,
+                       borrow=2, b=2, group_index=passes + 1)
+    else:
+        passes = 1
+        scalars = dict(acc0=q, acc1=q, group=1 << min(GROUP_BITS, width), b=2,
+                       position=width + 1)
+    charged = 0 if meter is None else meter.charge_scalars(**scalars)
     try:
-        res = []
-        for b in (0, 1):
-            prog.run_push(b)
-            res.append(file.stream_residue(idx, q))
-            prog.run_reverse(b)
-        return (res[1] - res[0]) % q
-    finally:
-        if meter is not None:
-            meter.release(charged)
-
-
-def _extract_grouped(prog, idx, meter) -> int:
-    file = prog.file
-    kq = file.modulus.bit_length() - 1
-    ngroups = (kq + GROUP_BITS - 1) // GROUP_BITS
-    charged = 0
-    if meter is not None:
-        charged = meter.charge_scalars(
-            group0=1 << GROUP_BITS, group1=1 << GROUP_BITS, borrow=2, b=2,
-            group_index=ngroups + 1,
-        )
-    try:
-        out = 0
-        borrow = 0
-        for g in range(ngroups):
+        out = borrow = 0
+        for g in range(passes):
+            reads = []
+            for b in (0, 1):
+                prog.run_push(b)
+                reads.append(file.read_group(idx, g) if grouped
+                             else file.stream_residue(idx, q))
+                prog.run_reverse(b)
+            if not grouped:
+                return (reads[1] - reads[0]) % q
             lo = g * GROUP_BITS
-            gw = min(GROUP_BITS, kq - lo)
-            gmask = (1 << gw) - 1
-            prog.run_push(0)
-            g0 = file.read_group(idx, g) & gmask
-            prog.run_reverse(0)
-            prog.run_push(1)
-            g1 = file.read_group(idx, g) & gmask
-            prog.run_reverse(1)
-            diff = g1 - g0 - borrow
+            gmask = (1 << min(GROUP_BITS, kq - lo)) - 1
+            diff = (reads[1] & gmask) - (reads[0] & gmask) - borrow
             borrow = 1 if diff < 0 else 0
             out |= (diff & gmask) << lo
         # a final borrow wraps mod 2**kq, which is exactly the q we want
         return out
+    except BaseException:
+        prog.unwind()
+        raise
     finally:
         if meter is not None:
             meter.release(charged)
@@ -566,6 +526,9 @@ def connect_rand_tape_bits(n: int) -> int:
 
 
 def iteration_count(n: int, kappa: float) -> int:
+    """Rounds of a randomized driver: ceil(kappa * log2 n), at least one."""
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be a finite positive number, got {kappa}")
     return max(1, math.ceil(kappa * math.log2(max(n, 2))))
 
 
@@ -587,13 +550,13 @@ def connect_rand(
     invalid, restoring the tape first.
     """
     _check_st(graph, s, t)
+    iters = iteration_count(graph.n, kappa)
     if s == t:
         return _trivial_answer(VERDICT_PATH)
     n = graph.n
     q_hi, ell = rand_parameters(n)
     if tape is None:
         tape = CatalyticTape.zeros(connect_rand_tape_bits(n))
-    iters = iteration_count(n, kappa)
     m = graph.edge_count()
     with DriverRun(
         tape, meter, width=ell, vertex=n, nbr_index=n + 2, layer=n + 2,
@@ -647,6 +610,7 @@ def connect_revertible(
     an exception it raises propagates after the tape is restored.
     """
     _check_st(graph, s, t)
+    iters = iteration_count(graph.n, kappa)
     if s == t:
         return _trivial_answer(VERDICT_PATH)
     n = graph.n
@@ -657,7 +621,6 @@ def connect_revertible(
     relevant = sorted(set(view.iter_nonisolated()) | {s, t})
     if tape is None:
         tape = CatalyticTape.zeros((T + 1) * n_ids * ell)
-    iters = iteration_count(n, kappa)
     m = graph.edge_count()
     pause_id = 0
     iteration = 0

@@ -394,40 +394,28 @@ class RegisterFile:
         self.tape.write_bits(span.offset, span.bits, blob)
         self._dirty.update(span.indices)
 
+    def gather_valid(self, indices: Sequence[int] | RegisterSpan) -> list[int]:
+        """`gather`, raising InvalidRegisterError for the first invalid register.
+
+        Only a failing call searches for it, so a valid span costs one `max`.
+        """
+        values = self.gather(indices)
+        if values and max(values) >= self._limit:
+            for idx, value in zip(indices, values):
+                self._require_valid(idx, value)
+        return values
+
     def read_block(self, start: int, count: int) -> list[int]:
         """Values of registers start..start+count-1 via one tape read."""
-        if count == 0:
-            return []
-        off = self._offset(start)
-        self._offset(start + count - 1)
-        blob = self.tape.read_bits(off, count * self.width)
-        w, mask = self.width, self._mask
-        return [(blob >> (k * w)) & mask for k in range(count)]
+        return self.gather(range(start, start + count))
 
     def write_block(self, start: int, values: Sequence[int]) -> None:
-        if not values:
-            return
-        off = self._offset(start)
-        self._offset(start + len(values) - 1)
-        w = self.width
-        blob = 0
-        for k, v in enumerate(values):
-            if v < 0 or v >> w:
-                raise ValueError(f"value {v} does not fit in {w} bits")
-            blob |= v << (k * w)
-        self.tape.write_bits(off, len(values) * w, blob)
-        self._dirty.update(range(start, start + len(values)))
+        self.scatter(range(start, start + len(values)), values)
 
     def residues_block(self, start: int, count: int) -> list[int]:
         """Residues of a contiguous block; validates every register in it."""
-        values = self.read_block(start, count)
-        limit, q = self._limit, self.modulus
-        for k, v in enumerate(values):
-            if v >= limit:
-                raise InvalidRegisterError(
-                    f"register {start + k} holds {v} >= q*d = {limit}"
-                )
-        return [v % q for v in values]
+        q = self.modulus
+        return [v % q for v in self.gather_valid(range(start, start + count))]
 
     def stream_residue(self, idx: int, q: int | None = None) -> int:
         """Value mod q read in GROUP_BITS chunks, most significant first.

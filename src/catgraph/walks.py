@@ -366,6 +366,9 @@ class StationaryResult:
 
 
 def walk_length(T: int, m: int, delta: float) -> int:
+    """T' = ceil(T*(m+2)/delta) rotor steps, at least one."""
+    if T < 0:
+        raise ValueError(f"mixing time must be nonnegative, got {T}")
     if delta <= 0:
         raise ValueError("delta must be positive")
     return _ceil_div_float(T * (m + 2), delta)
@@ -440,7 +443,7 @@ def estimate_stationary(
             if snap is not None:
                 rotors.restore_spans(snap)
             raise
-    rho = n_visit / t_prime if t_prime else 0.0
+    rho = n_visit / t_prime
     metrics = run.metrics(
         sum(rotors.widths[u] for u in visited), estimate=rho,
         normalizations=["out-of-band-rotor-restore"] if restore else [],

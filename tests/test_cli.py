@@ -165,6 +165,20 @@ def test_trials_below_one_is_input_error(capsys, path_graph, argv):
     assert out.out == "" and "--trials" in out.err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["connect", "{g}", "0", "2", "--algo", "rand", "--kappa", "-3"], "kappa"),
+    (["connect", "{g}", "0", "2", "--algo", "rand", "--kappa", "0"], "kappa"),
+    (["connect", "{g}", "0", "2", "--algo", "revertible", "--kappa", "inf"], "kappa"),
+    (["connect", "{g}", "0", "2", "--algo", "revertible", "--kappa", "nan"], "kappa"),
+    (["stationary", "{g}", "0", "--mix-time", "-5"], "mixing time"),
+], ids=["kappa-negative", "kappa-zero", "kappa-inf", "kappa-nan", "mix-time-negative"])
+def test_out_of_range_parameter_is_input_error(capsys, cycle_graph, argv, name):
+    code = cli.main([a.format(g=cycle_graph) for a in argv])
+    assert code == cli.EXIT_INPUT_ERROR
+    out = capsys.readouterr()
+    assert out.out == "" and name in out.err
+
+
 def test_trials_parallel(path_graph):
     proc = run_cli(["connect", path_graph, "0", "2", "--algo", "rand",
                     "--trials", "4", "--parallel", "--json", "--rng-seed", "2"])

@@ -6,8 +6,6 @@ import pytest
 from catgraph.connectivity import (
     LayeredPushState,
     ParityProgram,
-    _extract_grouped,
-    _extract_streaming,
     connect_det,
     connect_det_tape_bits,
     connect_rand,
@@ -22,7 +20,7 @@ from catgraph.connectivity import (
     st_count_mod,
     st_nonzero_mod,
 )
-from catgraph.errors import BudgetExceededError
+from catgraph.errors import BudgetExceededError, InvalidRegisterError
 from catgraph.graphs import AdjacencyGraph, GraphOracle
 from catgraph.oracles import bfs_reach, count_paths_layers, zeta_table
 from catgraph.tape import CatalyticTape, WorkspaceMeter, allocate_registers, make_tape
@@ -232,16 +230,43 @@ def test_parity_program_reset():
 
 
 def test_extraction_strategies_agree():
-    # wide power-of-two modulus computed both ways
+    # q = 2**26 extracts in grouped passes, q = 2**12 in one streaming pass;
+    # both must give the exact zeta value mod q
     g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
-    q = 1 << 26
-    tape, file = parity_file(g, q, seed=9, extra_width=3)
-    prog = ParityProgram(g, 0, 4, file)
-    streamed = _extract_streaming(prog, prog.answer_index(3), None)
-    danced = _extract_grouped(prog, prog.answer_index(3), None)
-    default = st_nonzero_mod(prog, 3)
-    assert streamed == danced == default
-    assert default == zeta_table(g, 0, 4)[4][3] % q
+    zeta = zeta_table(g, 0, 4)[4][3]
+    for q in (1 << 26, 1 << 12):
+        tape, file = parity_file(g, q, seed=9, extra_width=3)
+        before = tape.digest()
+        prog = ParityProgram(g, 0, 4, file)
+        assert st_nonzero_mod(prog, 3) == zeta % q
+        assert tape.digest() == before
+
+
+@pytest.mark.parametrize("layered, reg", [
+    (False, 1),  # a parity source
+    (False, 4),  # a parity destination
+    (True, 4),  # a layered destination of the first phase
+    (True, 7),  # a layered destination of the second phase
+])
+def test_push_kernel_rejects_invalid_register_and_restores(layered, reg):
+    g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
+    T, q = 2, 5
+    count = (T + 1) * g.n if layered else 2 * g.n
+    tape = CatalyticTape.zeros(count * 8)
+    file = allocate_registers(tape, 0, count, 8, q)
+    file.write(reg, 255)  # q*d = 5 * 51 = 255
+    before = tape.digest()
+    if layered:
+        prog = LayeredPushState(g, 0, T, file)
+        run = st_count_mod
+    else:
+        prog = ParityProgram(g, 0, T, file)
+        run = st_nonzero_mod
+    message = f"register {reg} holds 255 >= q\\*d = 255"
+    with pytest.raises(InvalidRegisterError, match=message):
+        run(prog, 2)
+    assert prog.pushed == 0
+    assert tape.digest() == before
 
 
 # --- revert queries -----------------------------------------------------------
@@ -362,6 +387,9 @@ def test_iteration_count_scaling():
     assert iteration_count(2, 8.0) == 8
     assert iteration_count(10, 8.0) == 27
     assert iteration_count(2, 1.0) == 1
+    for kappa in (-3.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="kappa"):
+            iteration_count(4, kappa)
 
 
 def test_revertible_matches_bfs_and_restores():
@@ -583,18 +611,24 @@ def _two_rings(k):
 def test_exact_step_counts_on_two_rings():
     # n = 16, m = 16: det extracts in 5 groups of 4 runs, each run costing
     # 1 + n(n+m); rand runs all 32 iterations, each a 2n scan, a 2n unshift
-    # and 4 streaming runs
+    # and 4 streaming runs; workspace peaks pin each extraction mode's
+    # scalars (det at n = 4 extracts streaming, at n = 16 grouped)
     g, s, t = _two_rings(8)
     n, m = g.n, g.edge_count()
     run_steps = 1 + n * (n + m)
-    assert connect_det(g, s, t).metrics.elapsed_steps == 20 * run_steps == 10_260
+    ans = connect_det(g, s, t)
+    assert ans.metrics.elapsed_steps == 20 * run_steps == 10_260
+    assert ans.metrics.workspace_peak_bits == 100
     ans = connect_rand(g, s, t, seed=1)
     assert ans.verdict == "no-path"
     iters = iteration_count(n, 8.0)
     assert ans.metrics.elapsed_steps == iters * (4 * n + 4 * run_steps) == 67_712
+    assert ans.metrics.workspace_peak_bits == 199
     ans = connect_revertible(g, s, t, seed=1)
     assert ans.verdict == "no-path"
     assert ans.metrics.elapsed_steps == 257_152
+    assert ans.metrics.workspace_peak_bits == 250
+    assert connect_det(*_two_rings(2)).metrics.workspace_peak_bits == 87
 
 
 def _invalid_after_first_shift(tape, count, width, seed, q_hi):

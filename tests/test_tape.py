@@ -268,6 +268,11 @@ def test_block_ops_match_scalar_ops():
     for i in range(9):
         file.write(i, file.read(i) % file._limit)
     assert file.residues_block(0, 9) == [file.residue(i) for i in range(9)]
+    file.write(6, file._limit)
+    file.write(4, file._limit + 1)
+    with pytest.raises(InvalidRegisterError,
+                       match=f"register 4 holds {file._limit + 1} >= q"):
+        file.residues_block(2, 6)
 
 
 def _tape_bits(tape):

@@ -411,6 +411,15 @@ def test_walk_length_formula():
     assert walk_length(1, 0, 0.5) == 4
 
 
+def test_negative_mixing_time_is_rejected():
+    with pytest.raises(ValueError, match="mixing time"):
+        walk_length(-5, 4, 0.1)
+    g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(ValueError, match="mixing time"):
+        estimate_stationary(g, 0, -5, 0.1)
+    assert estimate_stationary(g, 0, 0, 0.1).t_prime == 1
+
+
 def test_stationary_four_cycle():
     g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     res = estimate_stationary(g, 0, 4, 0.05)
