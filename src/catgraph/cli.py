@@ -12,7 +12,9 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 from . import connectivity, oracles, walks
 from .errors import CatgraphError, GraphFormatError
@@ -27,10 +29,11 @@ EXIT_ABORT = 3
 
 
 def _fallback_seed() -> int:
+    value = os.environ.get("CATGRAPH_SEED", "0")
     try:
-        return int(os.environ.get("CATGRAPH_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise ValueError(f"CATGRAPH_SEED must be an integer, got {value!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -45,12 +48,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="like --json but with wall_time_ms zeroed for replays")
     parser.add_argument("--trials", type=int, default=1,
                         help="run N independently seeded trials")
-
-
-def _seeds(args) -> tuple[int, int]:
-    rng_seed = args.rng_seed if args.rng_seed is not None else _fallback_seed()
-    tape_seed = args.tape_seed if args.tape_seed is not None else rng_seed + 1
-    return rng_seed, tape_seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,10 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, metrics: RunMetrics, command: str, trial_seed: int | None = None) -> None:
+def _emit(args, metrics: RunMetrics, trial_seed: int | None) -> None:
     if args.json or args.stable_json:
         payload = metrics.to_dict(stable=args.stable_json)
-        payload["command"] = command
+        payload["command"] = args.command
         if trial_seed is not None:
             payload["trial_seed"] = trial_seed
         print(json.dumps(payload, sort_keys=True))
@@ -119,115 +116,78 @@ def _emit(args, metrics: RunMetrics, command: str, trial_seed: int | None = None
         print("  ".join(bits))
 
 
-def _run_connect_trial(graph_path, s, t, algo, kappa, profile, tape_seed, rng_seed):
-    g = read_graph_file(graph_path)
-    if algo == "det":
-        tape = make_tape(max(connectivity.connect_det_tape_bits(g.n), 1), profile, tape_seed)
-        return connectivity.connect_det(g, s, t, tape=tape)
-    if algo == "rand":
-        tape = make_tape(max(connectivity.connect_rand_tape_bits(g.n), 1), profile, tape_seed)
-        return connectivity.connect_rand(g, s, t, seed=rng_seed, kappa=kappa, tape=tape)
-    tape = make_tape(max(connectivity.connect_revertible_tape_bits(g), 1), profile, tape_seed)
-    return connectivity.connect_revertible(g, s, t, seed=rng_seed, kappa=kappa, tape=tape)
+def _trial(args, g, k: int):
+    """Run trial k of the command on g with a fresh tape; returns the driver's result.
+
+    Each tape is sized by its driver's own `*_tape_bits`; the drivers check
+    the vertex ids and their parameters.
+    """
+    rng_seed = args.rng_seed + k
+
+    def tape(nbits: int):
+        return make_tape(nbits, args.tape_profile, args.tape_seed + k)
+
+    if args.command == "connect":
+        if args.algo == "det":
+            return connectivity.connect_det(
+                g, args.s, args.t, tape=tape(connectivity.connect_det_tape_bits(g.n)))
+        if args.algo == "rand":
+            return connectivity.connect_rand(
+                g, args.s, args.t, seed=rng_seed, kappa=args.kappa,
+                tape=tape(connectivity.connect_rand_tape_bits(g.n)))
+        return connectivity.connect_revertible(
+            g, args.s, args.t, seed=rng_seed, kappa=args.kappa,
+            tape=tape(connectivity.connect_revertible_tape_bits(g)))
+    if args.command == "stationary":
+        return walks.estimate_stationary(g, args.v_star, args.mix_time, args.delta,
+                                         tape(walks.stationary_tape_bits(g)))
+    if args.dag:
+        return walks.estimate_dag(g, args.s, args.t, args.eps,
+                                  tape(walks.dag_tape_bits(g, args.eps)))
+    return walks.estimate_general(g, args.s, args.t, args.steps, args.eps,
+                                  tape(walks.general_tape_bits(g, args.steps, args.eps)))
 
 
-def cmd_connect(args) -> int:
-    g = read_graph_file(args.graph)
-    if not (0 <= args.s < g.n and 0 <= args.t < g.n):
-        raise GraphFormatError(f"s={args.s}, t={args.t} out of range for n={g.n}")
-    rng_seed, tape_seed = _seeds(args)
-    jobs = [
-        (args.graph, args.s, args.t, args.algo, args.kappa,
-         args.tape_profile, tape_seed + k, rng_seed + k)
-        for k in range(args.trials)
-    ]
-    if args.parallel and args.trials > 1:
-        with ProcessPoolExecutor() as pool:
-            answers = list(pool.map(_run_connect_trial, *zip(*jobs)))
-    else:
-        answers = [_run_connect_trial(*job) for job in jobs]
-    for k, ans in enumerate(answers):
-        _emit(args, ans.metrics, "connect",
-              trial_seed=rng_seed + k if args.trials > 1 else None)
-    if args.trials > 1:
-        counts = {}
-        for ans in answers:
-            counts[ans.verdict] = counts.get(ans.verdict, 0) + 1
-        summary = {"schema": 1, "command": "connect-aggregate", "trials": args.trials,
-                   "verdicts": counts}
+def _report(args, g, results) -> int:
+    """Emit every trial and, for --trials > 1, the aggregate; return the exit code."""
+    many = args.trials > 1
+    first_seed = args.rng_seed if args.command == "connect" else args.tape_seed
+    for k, res in enumerate(results):
+        _emit(args, res.metrics, first_seed + k if many else None)
+    if many:
+        summary = {"schema": 1, "command": f"{args.command}-aggregate", "trials": args.trials}
+        if args.command == "connect":
+            counts = dict(Counter(res.verdict for res in results))
+            summary["verdicts"] = counts
+            text = f"aggregate: {counts}"
+        else:
+            mean = sum(res.rho for res in results) / len(results)
+            summary["mean_estimate"] = mean
+            text = f"aggregate: mean estimate {mean:.6f}"
         print(json.dumps(summary, sort_keys=True) if (args.json or args.stable_json)
-              else f"aggregate: {counts}")
-    if any(ans.verdict == connectivity.VERDICT_ABORT for ans in answers):
+              else text)
+    if any(res.metrics.aborted for res in results):
         return EXIT_ABORT
-    if args.verify:
+    if not getattr(args, "verify", False):
+        return EXIT_OK
+    if args.command == "connect":
         want = oracles.bfs_reach(g)[args.s][args.t]
-        for ans in answers:
-            if (ans.verdict == connectivity.VERDICT_PATH) != want:
-                print(f"verification mismatch: verdict={ans.verdict}, bfs={want}",
+        for res in results:
+            if (res.verdict == connectivity.VERDICT_PATH) != want:
+                print(f"verification mismatch: verdict={res.verdict}, bfs={want}",
                       file=sys.stderr)
                 return EXIT_VERIFY_MISMATCH
-    return EXIT_OK
-
-
-def _run_walk_trial(graph_path, s, t, dag, steps, eps, profile, tape_seed):
-    g = read_graph_file(graph_path)
-    if dag:
-        tape = make_tape(max(walks.dag_tape_bits(g, eps), 1), profile, tape_seed)
-        return walks.estimate_dag(g, s, t, eps, tape)
-    tape = make_tape(max(walks.general_tape_bits(g, steps, eps), 1), profile, tape_seed)
-    return walks.estimate_general(g, s, t, steps, eps, tape)
-
-
-def cmd_walk(args) -> int:
-    g = read_graph_file(args.graph)
-    if not (0 <= args.s < g.n and 0 <= args.t < g.n):
-        raise GraphFormatError(f"s={args.s}, t={args.t} out of range for n={g.n}")
+        return EXIT_OK
     if args.dag:
-        if not oracles.is_acyclic(g):
-            raise GraphFormatError("--dag requires an acyclic input graph")
-    elif args.steps is None:
-        raise GraphFormatError("--steps is required without --dag")
-    elif args.steps < 0:
-        raise GraphFormatError("--steps must be nonnegative")
-    rng_seed, tape_seed = _seeds(args)
-    results = []
-    for k in range(args.trials):
-        res = _run_walk_trial(args.graph, args.s, args.t, args.dag, args.steps,
-                              args.eps, args.tape_profile, tape_seed + k)
-        results.append(res)
-        _emit(args, res.metrics, "walk",
-              trial_seed=tape_seed + k if args.trials > 1 else None)
-    if args.trials > 1:
-        mean = sum(r.rho for r in results) / len(results)
-        summary = {"schema": 1, "command": "walk-aggregate", "trials": args.trials,
-                   "mean_estimate": mean}
-        print(json.dumps(summary, sort_keys=True) if (args.json or args.stable_json)
-              else f"aggregate: mean estimate {mean:.6f}")
-    if args.verify:
-        if args.dag:
-            expected = float(oracles.dag_reach_probabilities(g, args.s)[args.t])
-        else:
-            dist = oracles.walk_distribution(walks.with_sink_loops(g), args.s, args.steps)
-            expected = float(dist[args.t])
-        for res in results:
-            if abs(res.rho - expected) > args.eps:
-                print(f"verification mismatch: estimate={res.rho}, exact={expected}, "
-                      f"eps={args.eps}", file=sys.stderr)
-                return EXIT_VERIFY_MISMATCH
-    return EXIT_OK
-
-
-def cmd_stationary(args) -> int:
-    g = read_graph_file(args.graph)
-    if not 0 <= args.v_star < g.n:
-        raise GraphFormatError(f"v_star={args.v_star} out of range for n={g.n}")
-    _rng_seed, tape_seed = _seeds(args)
-    for k in range(args.trials):
-        tape = make_tape(max(walks.stationary_tape_bits(g), 1), args.tape_profile,
-                         tape_seed + k)
-        res = walks.estimate_stationary(g, args.v_star, args.mix_time, args.delta, tape)
-        _emit(args, res.metrics, "stationary",
-              trial_seed=tape_seed + k if args.trials > 1 else None)
+        expected = float(oracles.dag_reach_probabilities(g, args.s)[args.t])
+    else:
+        expected = float(oracles.walk_distribution(walks.with_sink_loops(g),
+                                                   args.s, args.steps)[args.t])
+    for res in results:
+        if abs(res.rho - expected) > args.eps:
+            print(f"verification mismatch: estimate={res.rho}, exact={expected}, "
+                  f"eps={args.eps}", file=sys.stderr)
+            return EXIT_VERIFY_MISMATCH
     return EXIT_OK
 
 
@@ -237,11 +197,26 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.trials < 1:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        if args.command == "connect":
-            return cmd_connect(args)
+        if args.rng_seed is None:
+            args.rng_seed = _fallback_seed()
+        if args.tape_seed is None:
+            args.tape_seed = args.rng_seed + 1
+        g = read_graph_file(args.graph)
         if args.command == "walk":
-            return cmd_walk(args)
-        return cmd_stationary(args)
+            if args.dag:
+                if not oracles.is_acyclic(g):
+                    raise GraphFormatError("--dag requires an acyclic input graph")
+            elif args.steps is None:
+                raise GraphFormatError("--steps is required without --dag")
+            elif args.steps < 0:
+                raise GraphFormatError("--steps must be nonnegative")
+        trials = range(args.trials)
+        if getattr(args, "parallel", False) and args.trials > 1:
+            with ProcessPoolExecutor() as pool:
+                results = list(pool.map(_trial, repeat(args), repeat(g), trials))
+        else:
+            results = [_trial(args, g, k) for k in trials]
+        return _report(args, g, results)
     except (CatgraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -586,6 +586,8 @@ def revertible_parameters(graph: GraphOracle) -> dict:
 
 
 def connect_revertible_tape_bits(graph: GraphOracle) -> int:
+    if graph.n < 2:
+        return 0  # the only query is s = t, which allocates no register
     params = revertible_parameters(graph)
     return (params["T"] + 1) * params["view_n"] * params["ell"]
 

@@ -15,6 +15,7 @@ snapshot and reports the in-band irreversibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -29,8 +30,8 @@ REV = "rev"
 
 def simulation_count(m: int, eps: float) -> int:
     """Number of walks K for additive error eps: ceil(2m/eps), at least 1."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a finite positive number, got {eps}")
     return _ceil_div_float(2 * m, eps)
 
 
@@ -199,7 +200,6 @@ def estimate_dag(
     *,
     collect: bool = False,
     meter: WorkspaceMeter | None = None,
-    normalizations: list[str] | None = None,
 ) -> DagWalkResult:
     """Estimate the probability a random walk from s reaches the sink t.
 
@@ -234,7 +234,6 @@ def estimate_dag(
     if counters is not None:
         counters.n_reach = n_reach
     metrics = run.metrics(regs.touched_bits, estimate=n_reach / K,
-                          normalizations=list(normalizations or []),
                           extra={"walks": K})
     return DagWalkResult(n_reach / K, n_reach, K, width, counters, metrics)
 
@@ -280,9 +279,6 @@ def estimate_general(
     if T < 0:
         raise ValueError("step count must be nonnegative")
     walkable = with_sink_loops(g)
-    normalizations = []
-    if walkable is not g:
-        normalizations.append(f"sink-self-loops:{len(walkable.loop_vertices)}")
     lift = LayeredLiftView(walkable, T)
     dag = estimate_dag(
         lift,
@@ -292,8 +288,9 @@ def estimate_general(
         tape,
         collect=collect,
         meter=meter,
-        normalizations=normalizations,
     )
+    if walkable is not g:
+        dag.metrics.normalizations.append(f"sink-self-loops:{len(walkable.loop_vertices)}")
     return GeneralWalkResult(dag.rho, lift, dag, dag.metrics)
 
 
@@ -369,8 +366,8 @@ def walk_length(T: int, m: int, delta: float) -> int:
     """T' = ceil(T*(m+2)/delta) rotor steps, at least one."""
     if T < 0:
         raise ValueError(f"mixing time must be nonnegative, got {T}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be a finite positive number, got {delta}")
     return _ceil_div_float(T * (m + 2), delta)
 
 
@@ -395,9 +392,9 @@ def estimate_stationary(
     flag the in-band irreversibility.
     """
     if not 0 <= v_star < g.n:
-        raise ValueError(f"v_star={v_star} out of range")
+        raise ValueError(f"v_star={v_star} out of range for {g.n} vertices")
     if not 0 <= start < g.n:
-        raise ValueError(f"start={start} out of range")
+        raise ValueError(f"start={start} out of range for {g.n} vertices")
     for v in range(g.n):
         if g.outdeg(v) == 0:
             raise SinkVertexError(f"vertex {v} has no outgoing edges")

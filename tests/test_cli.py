@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from catgraph import cli, connectivity
+from catgraph.graphs import read_graph_file
 from catgraph.metrics import RunMetrics
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -171,7 +172,12 @@ def test_trials_below_one_is_input_error(capsys, path_graph, argv):
     (["connect", "{g}", "0", "2", "--algo", "revertible", "--kappa", "inf"], "kappa"),
     (["connect", "{g}", "0", "2", "--algo", "revertible", "--kappa", "nan"], "kappa"),
     (["stationary", "{g}", "0", "--mix-time", "-5"], "mixing time"),
-], ids=["kappa-negative", "kappa-zero", "kappa-inf", "kappa-nan", "mix-time-negative"])
+    (["walk", "{g}", "0", "2", "--steps", "2", "--eps", "nan"], "eps"),
+    (["walk", "{g}", "0", "2", "--steps", "2", "--eps", "inf"], "eps"),
+    (["stationary", "{g}", "0", "--mix-time", "4", "--delta", "nan"], "delta"),
+    (["stationary", "{g}", "0", "--mix-time", "4", "--delta", "inf"], "delta"),
+], ids=["kappa-negative", "kappa-zero", "kappa-inf", "kappa-nan", "mix-time-negative",
+        "eps-nan", "eps-inf", "delta-nan", "delta-inf"])
 def test_out_of_range_parameter_is_input_error(capsys, cycle_graph, argv, name):
     code = cli.main([a.format(g=cycle_graph) for a in argv])
     assert code == cli.EXIT_INPUT_ERROR
@@ -211,6 +217,53 @@ def test_env_seed_fallback(path_graph):
     b = run_cli(["connect", path_graph, "0", "2", "--algo", "rand",
                  "--rng-seed", "42", "--stable-json"])
     assert a.stdout == b.stdout
+
+
+def test_malformed_env_seed_is_input_error(capsys, monkeypatch, path_graph):
+    monkeypatch.setenv("CATGRAPH_SEED", "abc")
+    code = cli.main(["connect", path_graph, "0", "2", "--algo", "rand"])
+    assert code == cli.EXIT_INPUT_ERROR
+    out = capsys.readouterr()
+    assert out.out == "" and "CATGRAPH_SEED" in out.err
+
+
+@pytest.mark.parametrize("algo", ["det", "rand", "revertible"])
+def test_one_vertex_graph_is_a_path(capsys, tmp_path, algo):
+    p = tmp_path / "one.txt"
+    p.write_text("1 0\n")
+    code = cli.main(["connect", str(p), "0", "0", "--algo", algo, "--verify"])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("verdict=path")
+
+
+@pytest.mark.parametrize("argv", [
+    ["connect", "{p}", "0", "2", "--algo", "rand"],
+    ["walk", "{p}", "0", "2", "--steps", "2"],
+    ["stationary", "{c}", "0", "--mix-time", "2"],
+], ids=["connect", "walk", "stationary"])
+def test_every_command_aggregates_its_trials(capsys, path_graph, cycle_graph, argv):
+    argv = [a.format(p=path_graph, c=cycle_graph) for a in argv]
+    assert cli.main([*argv, "--trials", "2", "--stable-json"]) == cli.EXIT_OK
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 3
+    assert [line["command"] for line in lines] == [argv[0]] * 2 + [f"{argv[0]}-aggregate"]
+    assert lines[-1]["trials"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["connect", "{g}", "0", "2", "--algo", "rand"],
+    ["walk", "{g}", "0", "2", "--steps", "2", "--verify"],
+], ids=["connect", "walk"])
+def test_graph_is_read_once_per_invocation(monkeypatch, capsys, path_graph, argv):
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_graph_file(path)
+
+    monkeypatch.setattr(cli, "read_graph_file", counting)
+    assert cli.main([a.format(g=path_graph) for a in argv] + ["--trials", "3"]) == cli.EXIT_OK
+    assert calls == [path_graph]
 
 
 def test_abort_exit_code(monkeypatch, path_graph):

@@ -334,6 +334,19 @@ def test_det_self_pair_is_path():
     assert connect_det(g, 0, 0).verdict == "path"
 
 
+def test_one_vertex_graph_sizes_and_answers_every_driver():
+    g = AdjacencyGraph.from_edges(1, [])
+    assert connect_revertible_tape_bits(g) == 0
+    for driver, bits in ((connect_det, connect_det_tape_bits(1)),
+                         (connect_rand, connect_rand_tape_bits(1)),
+                         (connect_revertible, connect_revertible_tape_bits(g))):
+        tape = make_tape(bits, "random", 3)
+        before = tape.digest()
+        ans = driver(g, 0, 0, tape=tape)
+        assert ans.verdict == "path" and ans.metrics.tape_restored
+        assert tape.digest() == before
+
+
 def test_det_matches_bfs_small_random():
     rng = random.Random(8)
     for trial in range(40):

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -246,6 +247,9 @@ def test_simulation_count_and_width():
     assert simulation_count(0, 0.5) == 1  # eps >= 2m clamps K to 1
     assert register_width(1) == 1
     assert register_width(5) == 3
+    for eps in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps"):
+            simulation_count(12, eps)
 
 
 def test_estimate_dag_start_at_sink():
@@ -409,6 +413,9 @@ def test_general_reduces_exactly_to_dag_run():
 def test_walk_length_formula():
     assert walk_length(4, 4, 0.05) == 480
     assert walk_length(1, 0, 0.5) == 4
+    for delta in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            walk_length(4, 4, delta)
 
 
 def test_negative_mixing_time_is_rejected():
