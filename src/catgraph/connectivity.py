@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graphs import DegreeReducedView, GraphOracle, SelfLoopView
 from .metrics import DriverRun, RunMetrics, StepCounter
@@ -55,8 +55,7 @@ class ConnectivityAnswer:
     metrics: RunMetrics
 
 
-@dataclass(frozen=True)
-class PausePoint:
+class PausePoint(NamedTuple):
     """Identifier handed to the revertibility hook at each safe point."""
 
     pause_id: int
@@ -126,22 +125,24 @@ class _PushProgram:
         Every source and every destination (each has sources: a parity
         vertex its self-edge, a layered destination its in-neighbors) is
         validated before anything is written. Each span is read with one
-        `gather_valid` and the destinations are written with one `scatter`,
-        so registers left out of the spans stay untouched and clean.
+        `read_span`, and the destination span is written back once, patched
+        with the XOR of each register's old and new value, so registers
+        left out of the spans stay untouched and clean.
         """
         file, k = self.file, len(self.banks)
         dst = self._dst[(i + 1) % k]
         q = file.modulus
-        res = [val % q for val in file.gather_valid(self.banks[i % k])]
+        res = [val % q for val in file.read_span(self.banks[i % k])[1]]
+        blob, old = file.read_span(dst)
         sign = -1 if reverse else 1
-        out = []
-        for val, srcs in zip(file.gather_valid(dst), self._sources):
+        delta = 0
+        for val, pos, srcs in zip(old, dst.shifts, self._sources):
             total = 0
             for u in srcs:
                 total += res[u]
             b = val % q
-            out.append(val - b + (b + sign * total) % q)
-        file.scatter(dst, out)
+            delta |= (val ^ (val - b + (b + sign * total) % q)) << pos
+        file.write_span(dst, blob ^ delta)
         self.steps.add(self.pushes_per_phase)
 
     def forward_phase(self) -> None:
@@ -189,13 +190,18 @@ class _PushProgram:
             self.file.sub_mod(self.s, self.b_applied)
             self.b_applied = 0
 
-    def shift(self, beta: int) -> None:
-        """Add beta mod 2**width to every bank's registers, bank by bank."""
+    def shift(self, beta: int) -> bool:
+        """Add beta mod 2**width to every bank's registers, bank by bank.
+
+        Returns whether every bank register is valid for q afterwards.
+        """
         assert self.shifted == 0
         self.beta = beta
+        valid = True
         for bank in self.banks:
-            self.file.shift_indices(bank, beta)
+            valid = self.file.shift_indices(bank, beta) and valid
             self.shifted += 1
+        return valid
 
     def unshift(self) -> None:
         """Remove the shift from the banks that carry it, last bank first."""
@@ -290,7 +296,8 @@ class LayeredPushState(_PushProgram):
         top. The tape is read, never written.
         """
         file = self.file
-        value = file.read(i * self.stride + v)
+        w = file.width
+        value = file.tape.read_bits(file.base + (i * self.stride + v) * w, w)
         if v not in self.relevant_set:
             return value
         q = file.modulus
@@ -318,7 +325,11 @@ def revert_query(state: LayeredPushState, reg: tuple[int, int]) -> int:
 
     See `LayeredPushState.original_value`.
     """
-    return state.original_value(reg[0], reg[1])
+    i, v = reg
+    if not (0 <= i <= state.T and 0 <= v < state.stride):
+        raise IndexError(f"register {reg} outside {state.T + 1} layers "
+                         f"of {state.stride}")
+    return state.original_value(i, v)
 
 
 def st_count_mod(
@@ -471,8 +482,9 @@ def _random_rounds(
 
     A round draws q in [2, q_hi) and a shift beta, hands the program a file
     of modulus q over its registers, shifts every bank, and extracts the
-    answer register with `extract` if the scan finds every bank register
-    valid. The shift is removed on every exit path: the normal-path
+    answer register with `extract` if the shift left every bank register
+    valid (the shift reports it from the values it wrote; the model still
+    charges the scan). The shift is removed on every exit path: the normal-path
     `unshift` sits inside the `try`, so an exception raised by it, too, is
     followed by an unshift from the banks still shifted. An invalid
     register aborts, a nonzero answer is a path, and all-zero rounds say
@@ -490,14 +502,11 @@ def _random_rounds(
         file = allocate_registers(tape, base, count, ell, q)
         prog.use_file(file)
         try:
-            prog.shift(beta)
+            valid = prog.shift(beta)
             run.steps.add(regs)
             if prog.pause is not None:
                 prog.pause("shifted")
-            limit = file._limit
-            value = None
-            if all(max(file.gather(bank)) < limit for bank in prog.banks):
-                value = extract(prog, t, meter=run.meter)
+            value = extract(prog, t, meter=run.meter) if valid else None
             prog.unshift()
         except BaseException:
             prog.unshift()
@@ -627,20 +636,23 @@ def connect_revertible(
     pause_id = 0
     iteration = 0
     cache = None  # original register values, only while a hook call runs
+    # the registers start at tape bit 0; bits past them are never changed
+    register_bits = (T + 1) * n_ids * ell
+    relevant_set = set(relevant)
 
     def query(bit_index: int) -> int:
-        reg = state.file.register_at_bit(bit_index)
-        if reg is None:
+        if not 0 <= bit_index < register_bits:
             return tape.read_bit(bit_index)
+        reg, bit = divmod(bit_index, ell)
         layer, v = divmod(reg, n_ids)
-        if v not in state.relevant_set:
+        if v not in relevant_set:
             return tape.read_bit(bit_index)
         current = None if cache is None else cache.get(reg)
         if current is None:
             current = state.original_value(layer, v)
             if cache is not None:
                 cache[reg] = current
-        return (current >> (bit_index - reg * ell)) & 1
+        return (current >> bit) & 1
 
     def fire(stage: str) -> None:
         nonlocal pause_id, iteration, cache

@@ -204,10 +204,13 @@ class RegisterSpan:
     int object per register); `full` says whether they fill it. A span
     depends only on the file's base and width, so it serves every file of
     the same geometry (files that differ only in their modulus), and
-    `gather`, `scatter` and `shift_indices` take it without checking again.
+    `gather`, `scatter`, `read_span`, `write_span` and `shift_indices` take
+    it without checking again.
+    `lanes` is None until the span is first shifted; then it holds the
+    masks of the lane-wise add (see `RegisterFile.shift_indices`).
     """
 
-    __slots__ = ("indices", "offset", "bits", "shifts", "full")
+    __slots__ = ("indices", "offset", "bits", "shifts", "full", "lanes")
 
     def __init__(self, indices: tuple[int, ...], offset: int, bits: int,
                  shifts: array, full: bool):
@@ -216,6 +219,7 @@ class RegisterSpan:
         self.bits = bits
         self.shifts = shifts
         self.full = full
+        self.lanes = None
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -317,17 +321,42 @@ class RegisterFile:
         else:
             self.sub_mod(dst, amount)
 
-    def shift_all(self, beta: int) -> None:
+    def shift_all(self, beta: int) -> bool:
         """Add beta mod 2**width to every register; inverse is 2**width - beta."""
-        self.shift_indices(range(self.count), beta)
+        return self.shift_indices(range(self.count), beta)
 
-    def shift_indices(self, indices: Sequence[int] | RegisterSpan, beta: int) -> None:
-        """Add beta mod 2**width to the listed registers, as one `scatter`."""
+    def shift_indices(self, indices: Sequence[int] | RegisterSpan, beta: int) -> bool:
+        """Add beta mod 2**width to the listed registers; are they all valid now?
+
+        The span is shifted lane-wise, one register per w-bit lane, with one
+        tape read and one write. With H the top bit of every lane, L the
+        other bits, and B holding beta in each listed lane (0 elsewhere),
+        the new span is ((x & L) + (B & L)) ^ ((x ^ B) & H): no carry
+        crosses a lane and unlisted lanes come back unchanged. Validity
+        is the same add of 2**width - q*d: a lane carries out of its top
+        bit exactly when it holds q*d or more.
+        """
         if not 0 <= beta < (1 << self.width):
             raise ValueError("shift must be in [0, 2**width)")
         span = indices if isinstance(indices, RegisterSpan) else self.span(indices)
-        mask = self._mask
-        self.scatter(span, [(v + beta) & mask for v in self.gather(span)])
+        if not span.shifts:
+            return True
+        if span.lanes is None:
+            w = self.width
+            ones = 0
+            for pos in span.shifts:
+                ones |= 1 << pos
+            # a 1 at the top of every lane of the span, listed or not
+            high = ((1 << span.bits) - 1) // self._mask << (w - 1)
+            span.lanes = (ones, high, ((1 << span.bits) - 1) ^ high)
+        ones, high, low = span.lanes
+        old = self.tape.read_bits(span.offset, span.bits)
+        b = beta * ones
+        new = ((old & low) + (b & low)) ^ ((old ^ b) & high)
+        self.write_span(span, new)
+        c = ((1 << self.width) - self._limit) * ones
+        s = ((new & low) + (c & low)) ^ ((new ^ c) & high)
+        return not ((new & c) | ((new | c) & ~s)) & high
 
     def span(self, indices: Sequence[int]) -> RegisterSpan:
         """The listed registers as a `RegisterSpan`, checked once here.
@@ -391,19 +420,30 @@ class RegisterFile:
             for pos, v in zip(span.shifts, values):
                 delta |= (((blob >> pos) & mask) ^ v) << pos
             blob ^= delta
+        self.write_span(span, blob)
+
+    def read_span(self, span: RegisterSpan) -> tuple[int, list[int]]:
+        """A span's tape bits and its registers' values, via one tape read.
+
+        Raises InvalidRegisterError for the first listed register at or
+        above q*d; only a failing call searches for it, so a valid span
+        costs one `max`.
+        """
+        blob = self.tape.read_bits(span.offset, span.bits)
+        mask = self._mask
+        values = [(blob >> pos) & mask for pos in span.shifts]
+        if values and max(values) >= self._limit:
+            for idx, value in zip(span.indices, values):
+                self._require_valid(idx, value)
+        return blob, values
+
+    def write_span(self, span: RegisterSpan, blob: int) -> None:
+        """Write a span's tape bits in one tape write; its registers become dirty.
+
+        The caller keeps the bits between the listed registers as they were.
+        """
         self.tape.write_bits(span.offset, span.bits, blob)
         self._dirty.update(span.indices)
-
-    def gather_valid(self, indices: Sequence[int] | RegisterSpan) -> list[int]:
-        """`gather`, raising InvalidRegisterError for the first invalid register.
-
-        Only a failing call searches for it, so a valid span costs one `max`.
-        """
-        values = self.gather(indices)
-        if values and max(values) >= self._limit:
-            for idx, value in zip(indices, values):
-                self._require_valid(idx, value)
-        return values
 
     def read_block(self, start: int, count: int) -> list[int]:
         """Values of registers start..start+count-1 via one tape read."""
@@ -415,7 +455,8 @@ class RegisterFile:
     def residues_block(self, start: int, count: int) -> list[int]:
         """Residues of a contiguous block; validates every register in it."""
         q = self.modulus
-        return [v % q for v in self.gather_valid(range(start, start + count))]
+        _, values = self.read_span(self.span(range(start, start + count)))
+        return [v % q for v in values]
 
     def stream_residue(self, idx: int, q: int | None = None) -> int:
         """Value mod q read in GROUP_BITS chunks, most significant first.
@@ -449,13 +490,6 @@ class RegisterFile:
     @property
     def touched_bits(self) -> int:
         return len(self._dirty) * self.width
-
-    def register_at_bit(self, bit_index: int) -> int | None:
-        """Index of the register whose span covers the tape bit, if any."""
-        rel = bit_index - self.base
-        if rel < 0 or rel >= self.count * self.width:
-            return None
-        return rel // self.width
 
 
 def allocate_registers(

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 
 from catgraph.errors import WalkCycleError
 from catgraph.graphs import AdjacencyGraph, GraphOracle
+from catgraph.tape import CatalyticTape, WorkspaceMeter, make_tape
 from catgraph.walks import FWD
 
 TAPE_PROFILES = ("zeros", "ones", "random")
@@ -177,3 +178,34 @@ def fail_at(owner, attr: str, k: int | None):
         yield counter
     finally:
         setattr(owner, attr, original)
+
+
+class CountingBuffer(bytearray):
+    """A tape buffer that counts its item and slice assignments in `sets`."""
+
+    sets = 0
+
+    def __setitem__(self, key, value):
+        self.sets += 1
+        super().__setitem__(key, value)
+
+
+def buffer_and_write_bits_counts(bits: int, run) -> tuple[int, int]:
+    """Run `run(tape, meter)` on a random tape of `bits` bits whose buffer
+    counts its writes; returns (buffer writes, `write_bits` calls of
+    width > 0)."""
+    tape = make_tape(bits, "random", 1)
+    tape._buf = CountingBuffer(tape._buf)
+    original = vars(CatalyticTape)["write_bits"]
+    widths = []
+
+    def counting(self, offset, width, value):
+        widths.append(width)
+        return original(self, offset, width, value)
+
+    CatalyticTape.write_bits = counting
+    try:
+        run(tape, WorkspaceMeter())
+    finally:
+        CatalyticTape.write_bits = original
+    return tape._buf.sets, sum(1 for w in widths if w > 0)

@@ -26,7 +26,13 @@ from catgraph.oracles import bfs_reach, count_paths_layers, zeta_table
 from catgraph.tape import CatalyticTape, WorkspaceMeter, allocate_registers, make_tape
 from catgraph.walks import dag_tape_bits, estimate_dag, estimate_general, estimate_stationary
 
-from helpers import TAPE_PROFILES, InjectedFault, fail_at, random_graph
+from helpers import (
+    TAPE_PROFILES,
+    InjectedFault,
+    buffer_and_write_bits_counts,
+    fail_at,
+    random_graph,
+)
 
 
 def valid_file(tape, base, count, width, q):
@@ -279,6 +285,10 @@ def test_revert_query_before_any_push_returns_current():
     for i in range(3):
         for v in range(3):
             assert revert_query(state, (i, v)) == file.read(i * 3 + v)
+    # (0, 3) would be register 3 of the file, but vertex 3 does not exist
+    for bad in ((3, 0), (-1, 0), (0, 3), (0, -1)):
+        with pytest.raises(IndexError):
+            revert_query(state, bad)
 
 
 def test_revert_query_after_full_push_matches_snapshot():
@@ -644,25 +654,27 @@ def test_exact_step_counts_on_two_rings():
     assert connect_det(*_two_rings(2)).metrics.workspace_peak_bits == 87
 
 
-def _invalid_after_first_shift(tape, count, width, seed, q_hi):
-    """Make register 0 invalid once the first round's shift is applied.
+def _invalid_after_first_shift(tape, count, width, seed, q_hi, reg):
+    """Make register `reg` invalid once the first round's shift is applied.
 
     Draws q and beta as the randomized drivers do, then writes q*d - beta
-    into bank 0's first register, so the shifted value is q*d.
+    into the register, so the shifted value is q*d.
     """
     rng = random.Random(seed)
     q = rng.randrange(2, q_hi)
     beta = rng.getrandbits(width)
     file = allocate_registers(tape, 0, count, width, q)
     assert q * file.multiplier < 1 << width
-    file.write(0, (q * file.multiplier - beta) % (1 << width))
+    file.write(reg, (q * file.multiplier - beta) % (1 << width))
 
 
-def test_rand_aborts_on_an_invalid_shifted_register():
+def _rand_abort(last):
+    """The rand driver on an invalid first (or last scanned) register."""
     g = AdjacencyGraph.from_edges(3, [(0, 1)])
     q_hi, ell = rand_parameters(3)
     tape = make_tape(connect_rand_tape_bits(3), "random", 0)
-    _invalid_after_first_shift(tape, 2 * g.n, ell, 1, q_hi)
+    _invalid_after_first_shift(tape, 2 * g.n, ell, 1, q_hi,
+                               2 * g.n - 1 if last else 0)
     before = tape.digest()
     ans = connect_rand(g, 0, 2, seed=1, tape=tape)
     assert ans.verdict == "abort" and ans.metrics.aborted
@@ -671,12 +683,25 @@ def test_rand_aborts_on_an_invalid_shifted_register():
     assert ans.metrics.tape_restored and tape.digest() == before
 
 
-def test_revertible_aborts_on_an_invalid_shifted_register():
+def test_rand_aborts_on_an_invalid_shifted_register():
+    _rand_abort(last=False)
+
+
+def test_rand_aborts_when_the_last_scanned_register_is_invalid():
+    # register 2n - 1 ends bank 1, the last span the shift checks
+    _rand_abort(last=True)
+
+
+def _revertible_abort(last):
+    """The revertible driver on an invalid first (or last scanned) register."""
     g = AdjacencyGraph.from_edges(3, [(0, 1)])
     params = revertible_parameters(g)
     T, n_ids, ell = params["T"], params["view_n"], params["ell"]
+    # the highest relevant register of layer T, as the driver picks them
+    top = max(set(params["view"].iter_nonisolated()) | {0, 2})
     tape = make_tape(connect_revertible_tape_bits(g), "random", 0)
-    _invalid_after_first_shift(tape, (T + 1) * n_ids, ell, 1, params["q_hi"])
+    _invalid_after_first_shift(tape, (T + 1) * n_ids, ell, 1, params["q_hi"],
+                               T * n_ids + top if last else 0)
     snap = tape.snapshot()
     points, bad = [], []
 
@@ -691,6 +716,14 @@ def test_revertible_aborts_on_an_invalid_shifted_register():
     assert points == [(0, 0, "shifted"), (1, 0, "abort-unshifted")]
     assert bad == []
     assert ans.metrics.tape_restored and tape.snapshot() == snap
+
+
+def test_revertible_aborts_on_an_invalid_shifted_register():
+    _revertible_abort(last=False)
+
+
+def test_revertible_aborts_when_the_last_scanned_register_is_invalid():
+    _revertible_abort(last=True)
 
 
 def test_revertible_without_hook_gives_the_program_no_pause_callback(monkeypatch):
@@ -742,9 +775,9 @@ def test_revertible_query_reads_each_register_once_per_pause():
     assert counter.calls == 2
 
 
-def _fault_sweep_cases():
+def _fault_sweep_drivers():
     g = AdjacencyGraph.from_edges(3, [(0, 1)])
-    drivers = {
+    return {
         "det": (connect_det_tape_bits(g.n),
                 lambda tape, meter: connect_det(g, 0, 2, tape=tape, meter=meter)),
         "rand": (connect_rand_tape_bits(g.n),
@@ -754,6 +787,10 @@ def _fault_sweep_cases():
                        lambda tape, meter: connect_revertible(
                            g, 0, 2, seed=1, kappa=1.0, tape=tape, meter=meter)),
     }
+
+
+def _fault_sweep_cases():
+    drivers = _fault_sweep_drivers()
     targets = {
         "write_bits": (CatalyticTape, "write_bits"),
         "charge": (WorkspaceMeter, "charge"),
@@ -779,6 +816,15 @@ def test_fault_at_every_write_and_charge_restores_tape(driver, target):
             run(tape, meter)
         assert tape.digest() == before, k
         assert meter.bits_in_use == 0, k
+
+
+@pytest.mark.parametrize("driver", _fault_sweep_drivers().values(),
+                         ids=list(_fault_sweep_drivers()))
+def test_every_tape_write_goes_through_write_bits(driver):
+    # the sweep above cuts tape writes at `write_bits`; a write that reached
+    # the buffer another way would escape it
+    buffer_sets, writes = buffer_and_write_bits_counts(*driver)
+    assert buffer_sets == writes > 0
 
 
 def test_drivers_reject_explicit_self_loops():

@@ -396,6 +396,44 @@ def test_span_ops_match_list_ops():
         assert by_span._dirty == by_list._dirty == set(idx)
 
 
+@given(st.data())
+@settings(deadline=None, max_examples=300)
+def test_lane_wise_shift_matches_per_register_add(data):
+    width = data.draw(st.integers(1, 70), label="width")
+    mask = (1 << width) - 1
+    count = data.draw(st.integers(1, 10), label="count")
+    base = data.draw(st.integers(0, 15), label="base")  # byte-straddling
+    order = data.draw(st.permutations(range(count)), label="order")
+    idx = order[:data.draw(st.integers(1, count), label="listed")]  # full or gapped
+    beta = data.draw(st.sampled_from([0, 1, mask]) | st.integers(0, mask), label="beta")
+    q = data.draw(st.integers(2, 1 << width), label="q")
+    values = data.draw(st.lists(st.integers(0, mask), min_size=count,
+                                max_size=count), label="values")
+    tape = make_tape(base + count * width + data.draw(st.integers(0, 9)), "random",
+                     data.draw(st.integers(0, 3)))
+    file = allocate_registers(tape, base, count, width, q)
+    # one listed register may land just below, on or above q*d once shifted
+    edge = data.draw(st.sampled_from([None, -1, 0, 1]), label="edge")
+    if edge is not None:
+        values[idx[-1]] = (file._limit + edge - beta) & mask
+    for i, v in enumerate(values):
+        file.write(i, v)
+    file._dirty.clear()
+    before = tape.snapshot()
+    shadow = CatalyticTape(tape.nbits, bytearray(before))
+    sfile = allocate_registers(shadow, base, count, width, q)
+    for i in idx:
+        sfile.write(i, (values[i] + beta) & mask)
+    span = file.span(idx) if data.draw(st.booleans(), label="as span") else idx
+    valid = file.shift_indices(span, beta)
+    # every bit outside the listed registers is unchanged
+    assert tape.snapshot() == shadow.snapshot()
+    assert file._dirty == set(idx)
+    assert valid == (max((values[i] + beta) & mask for i in idx) < file._limit)
+    file.shift_indices(span, ((1 << width) - beta) & mask)
+    assert tape.snapshot() == before
+
+
 def test_empty_span():
     tape = make_tape(100, "random", seed=18)
     file = allocate_registers(tape, 5, 9, 10, 1000)

@@ -39,6 +39,7 @@ from helpers import (
     TAPE_PROFILES,
     InjectedFault,
     LoggingGraph,
+    buffer_and_write_bits_counts,
     ergodic_graph,
     fail_at,
     figure_dag,
@@ -196,8 +197,8 @@ _SWEEP_GRAPH = AdjacencyGraph.from_edges(
 _SWEEP_DAG = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
 
 
-def _walk_fault_cases():
-    drivers = {
+def _walk_fault_drivers():
+    return {
         "dag": (dag_tape_bits(_SWEEP_DAG, 0.5),
                 lambda tape, meter: estimate_dag(_SWEEP_DAG, 0, 3, 0.5, tape,
                                                  meter=meter)),
@@ -208,6 +209,10 @@ def _walk_fault_cases():
                        lambda tape, meter: estimate_stationary(
                            _SWEEP_GRAPH, 0, 2, 0.5, tape, restore=True, meter=meter)),
     }
+
+
+def _walk_fault_cases():
+    drivers = _walk_fault_drivers()
     targets = {
         "write_bits": (CatalyticTape, "write_bits"),
         "charge": (WorkspaceMeter, "charge"),
@@ -231,6 +236,15 @@ def test_walk_fault_at_every_write_and_charge_restores_tape(driver, target):
             run(tape, meter)
         assert tape.digest() == before, k
         assert meter.bits_in_use == 0, k
+
+
+@pytest.mark.parametrize("driver", _walk_fault_drivers().values(),
+                         ids=list(_walk_fault_drivers()))
+def test_every_walk_tape_write_goes_through_write_bits(driver):
+    # the walk sweep cuts tape writes at `write_bits`; a write that reached
+    # the buffer another way would escape it
+    buffer_sets, writes = buffer_and_write_bits_counts(*driver)
+    assert buffer_sets == writes > 0
 
 
 @pytest.mark.parametrize("restore", [True, False])
