@@ -357,9 +357,11 @@ def _extract_residue(
 
     Each pass runs push b=0, read, reverse, push b=1, read, reverse. Small
     (or non-power-of-two) q takes one streaming pass, reading the residue
-    mod q. Wide power-of-two q makes the register wider than anything we
-    may hold, so pass g reads group g of both runs and the difference is
-    assembled GROUP_BITS at a time with a borrow.
+    mod q: the meter charges the state of a read streamed GROUP_BITS at a
+    time (acc0, acc1, group, b, position), and the simulation reads the
+    register once. Wide power-of-two q makes the register wider than
+    anything we may hold, so pass g reads group g of both runs and the
+    difference is assembled GROUP_BITS at a time with a borrow.
 
     Any exception, from a tape write, a pause hook or a read, unwinds the
     program before it propagates, so the registers are restored; a rejected
@@ -538,7 +540,10 @@ def iteration_count(n: int, kappa: float) -> int:
     """Rounds of a randomized driver: ceil(kappa * log2 n), at least one."""
     if not 0 < kappa < math.inf:
         raise ValueError(f"kappa must be a finite positive number, got {kappa}")
-    return max(1, math.ceil(kappa * math.log2(max(n, 2))))
+    rounds = kappa * math.log2(max(n, 2))
+    if rounds == math.inf:
+        raise ValueError(f"kappa {kappa} gives more rounds than a float holds")
+    return max(1, math.ceil(rounds))
 
 
 def connect_rand(

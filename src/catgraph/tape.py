@@ -459,25 +459,13 @@ class RegisterFile:
         return [v % q for v in values]
 
     def stream_residue(self, idx: int, q: int | None = None) -> int:
-        """Value mod q read in GROUP_BITS chunks, most significant first.
+        """The register's value mod q (the modulus by default), in one tape read.
 
-        Holds only an accumulator in [q) plus one group at a time, mirroring
-        the logspace computation; the register itself stays on the tape.
+        The logspace read streams the register GROUP_BITS at a time, most
+        significant first, into an accumulator in [q); extraction's meter
+        charge models that, so the simulation reads the register whole.
         """
-        if q is None:
-            q = self.modulus
-        off = self._offset(idx)
-        w = self.width
-        acc = 0
-        pos = ((w + GROUP_BITS - 1) // GROUP_BITS) * GROUP_BITS
-        while pos > 0:
-            pos -= GROUP_BITS
-            gw = min(GROUP_BITS, w - pos)
-            if gw <= 0:
-                continue
-            group = self.tape.read_bits(off + pos, gw)
-            acc = ((acc << gw) | group) % q
-        return acc
+        return self.read(idx) % (self.modulus if q is None else q)
 
     def read_group(self, idx: int, group: int) -> int:
         """The `group`-th GROUP_BITS-wide slice of a register, LSB first."""

@@ -32,11 +32,15 @@ def simulation_count(m: int, eps: float) -> int:
     """Number of walks K for additive error eps: ceil(2m/eps), at least 1."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be a finite positive number, got {eps}")
-    return _ceil_div_float(2 * m, eps)
+    return _ceil_div_float(2 * m, eps, f"eps {eps} gives more walks")
 
 
-def _ceil_div_float(num: int, eps: float) -> int:
-    k = int(num / eps)
+def _ceil_div_float(num: int, eps: float, what: str) -> int:
+    """ceil(num/eps), at least 1; `what` names the cause of an overflow."""
+    try:
+        k = int(num / eps)
+    except OverflowError:
+        raise ValueError(f"{what} than a float holds") from None
     while k * eps < num:
         k += 1
     return max(k, 1)
@@ -331,19 +335,14 @@ class RotorRegisters:
         return [raw % d if (d := outdeg(v)) > 0 else raw
                 for v, raw in enumerate(self.snapshot_spans())]
 
-    def flush(self, values: list[int], only=None) -> None:
-        """Write the listed rotors (all by default); values are checked first."""
-        span = self.end - self.base
-        if only is None:
-            only, blob = range(self.g.n), 0
-        else:
-            blob = self.tape.read_bits(self.base, span)
-        for v in only:
-            off, w, x = self.offsets[v], self.widths[v], values[v]
+    def flush(self, values: list[int]) -> None:
+        """Write every rotor with one tape write; values are checked first."""
+        blob = 0
+        for off, w, x in zip(self.offsets, self.widths, values, strict=True):
             if x < 0 or x >> w:
                 raise ValueError(f"rotor value {x} does not fit in {w} bits")
-            blob = blob & ~(((1 << w) - 1) << off) | x << off
-        self.tape.write_bits(self.base, span, blob)
+            blob |= x << off
+        self.tape.write_bits(self.base, self.end - self.base, blob)
 
     def restore_spans(self, snap: list[int]) -> None:
         self.flush(snap)
@@ -368,7 +367,8 @@ def walk_length(T: int, m: int, delta: float) -> int:
         raise ValueError(f"mixing time must be nonnegative, got {T}")
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be a finite positive number, got {delta}")
-    return _ceil_div_float(T * (m + 2), delta)
+    return _ceil_div_float(T * (m + 2), delta,
+                           f"mixing time {T} and delta {delta} give more steps")
 
 
 def estimate_stationary(
@@ -403,9 +403,8 @@ def estimate_stationary(
     if tape is None:
         tape = CatalyticTape.zeros(stationary_tape_bits(g))
     rotors = RotorRegisters(tape, g)
-    counts = [0] * g.n if collect else None
-    visited = set()
-    n_visit = 0
+    outdeg, outnbr = g.outdeg, g.outnbr
+    counts = [0] * g.n
     v = start
     with DriverRun(
         tape, meter, vertex=g.n, edge_choice=max(g.outdeg(v) for v in range(g.n)) + 1,
@@ -414,36 +413,30 @@ def estimate_stationary(
         snap = rotors.snapshot_spans()
         # one read serves both: every out-degree is positive here, so each
         # rotor is its span mod out-degree, as `load` would give
-        values = [raw % g.outdeg(u) for u, raw in enumerate(snap)]
-        if not restore:
-            snap = None
+        values = [raw % outdeg(u) for u, raw in enumerate(snap)]
         # restore inside the try and again on the way out of it, so a fault
         # in the restoring write itself is retried
         try:
             for _ in range(t_prime):
-                if v == v_star:
-                    n_visit += 1
-                if counts is not None:
-                    counts[v] += 1
-                d = g.outdeg(v)
+                counts[v] += 1
                 r = values[v]
-                values[v] = (values[v] + 1) % d
-                visited.add(v)
-                v = g.outnbr(v, r)
-                run.steps.n += 1
-            # only rotors the walk actually advanced are written back, so
-            # `values` is what a fresh `load` would now return
-            rotors.flush(values, only=sorted(visited))
-            if snap is not None:
+                values[v] = (r + 1) % outdeg(v)
+                v = outnbr(v, r)
+            run.steps.n += t_prime
+            # a rotor the walk advanced gets its walked value and any other
+            # its snapshot span, so the whole-span write changes only the
+            # former and `values` is what a fresh `load` would now return
+            rotors.flush([x if c else raw for x, c, raw in zip(values, counts, snap)])
+            if restore:
                 rotors.restore_spans(snap)
         except BaseException:
-            if snap is not None:
+            if restore:
                 rotors.restore_spans(snap)
             raise
-    rho = n_visit / t_prime
+    rho = counts[v_star] / t_prime
     metrics = run.metrics(
-        sum(rotors.widths[u] for u in visited), estimate=rho,
+        sum(w for w, c in zip(rotors.widths, counts) if c), estimate=rho,
         normalizations=["out-of-band-rotor-restore"] if restore else [],
         extra={"t_prime": t_prime, "in_band_irreversible": True},
     )
-    return StationaryResult(rho, t_prime, counts, values, metrics)
+    return StationaryResult(rho, t_prime, counts if collect else None, values, metrics)

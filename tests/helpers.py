@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from itertools import accumulate
 
 from catgraph.errors import WalkCycleError
 from catgraph.graphs import AdjacencyGraph, GraphOracle
 from catgraph.tape import CatalyticTape, WorkspaceMeter, make_tape
-from catgraph.walks import FWD
+from catgraph.walks import FWD, rotor_widths, walk_length
 
 TAPE_PROFILES = ("zeros", "ones", "random")
 
@@ -131,6 +132,44 @@ def reference_walk(g, s, mode, values, width, counters, touched, steps) -> int:
         v = g.outnbr(v, r)
         hops += 1
 
+
+
+def reference_stationary(g, v_star, mix_time, delta, tape, *, start=0,
+                         restore=True, collect=False) -> dict:
+    """The stationary rotor walk as first written, kept as its reference:
+    a visited set, a v* counter, one step counted per iteration, and a
+    write-back of the visited rotors alone, one rotor span at a time. The
+    rotors sit from bit 0 of `tape`; `restore` puts the tape back from a
+    byte snapshot. Returns the fields of `estimate_stationary`'s result."""
+    t_prime = walk_length(mix_time, g.edge_count(), delta)
+    widths = rotor_widths(g)
+    offsets = list(accumulate(widths, initial=0))
+    before = tape.snapshot()
+    values = [tape.read_bits(off, w) % g.outdeg(u)
+              for u, (off, w) in enumerate(zip(offsets, widths))]
+    counts = [0] * g.n if collect else None
+    visited = set()
+    n_visit = steps = 0
+    v = start
+    for _ in range(t_prime):
+        if v == v_star:
+            n_visit += 1
+        if counts is not None:
+            counts[v] += 1
+        d = g.outdeg(v)
+        r = values[v]
+        values[v] = (values[v] + 1) % d
+        visited.add(v)
+        v = g.outnbr(v, r)
+        steps += 1
+    for u in sorted(visited):
+        tape.write_bits(offsets[u], widths[u], values[u])
+    if restore:
+        tape.restore(before)
+    return dict(rho=n_visit / t_prime, t_prime=t_prime, visit_counts=counts,
+                final_rotors=values, elapsed_steps=steps,
+                catalytic_bits=sum(widths[u] for u in visited),
+                tape_restored=tape.snapshot() == before)
 
 class LoggingGraph(GraphOracle):
     """Out-edge queries answered by `base`, each one appended to `log`."""

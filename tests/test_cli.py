@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ from catgraph import cli, connectivity
 from catgraph.graphs import read_graph_file
 from catgraph.metrics import RunMetrics
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run_cli(args, tmp_path=None):
@@ -176,10 +178,16 @@ def test_trials_below_one_is_input_error(capsys, path_graph, argv):
     (["walk", "{g}", "0", "2", "--steps", "2", "--eps", "inf"], "eps"),
     (["stationary", "{g}", "0", "--mix-time", "4", "--delta", "nan"], "delta"),
     (["stationary", "{g}", "0", "--mix-time", "4", "--delta", "inf"], "delta"),
+    # finite values whose count overflows a float
+    (["connect", "{g}", "0", "2", "--algo", "rand", "--kappa", "1e308"], "kappa"),
+    (["walk", "{dag}", "0", "2", "--dag", "--eps", "1e-320"], "eps"),
+    (["stationary", "{g}", "0", "--mix-time", "4", "--delta", "1e-320"], "delta"),
 ], ids=["kappa-negative", "kappa-zero", "kappa-inf", "kappa-nan", "mix-time-negative",
-        "eps-nan", "eps-inf", "delta-nan", "delta-inf"])
-def test_out_of_range_parameter_is_input_error(capsys, cycle_graph, argv, name):
-    code = cli.main([a.format(g=cycle_graph) for a in argv])
+        "eps-nan", "eps-inf", "delta-nan", "delta-inf", "kappa-overflow",
+        "eps-overflow", "delta-overflow"])
+def test_out_of_range_parameter_is_input_error(capsys, cycle_graph, path_graph,
+                                               argv, name):
+    code = cli.main([a.format(g=cycle_graph, dag=path_graph) for a in argv])
     assert code == cli.EXIT_INPUT_ERROR
     out = capsys.readouterr()
     assert out.out == "" and name in out.err
@@ -295,3 +303,17 @@ def test_metrics_json_field_set(path_graph):
                 "workspace_peak_bits", "catalytic_bits", "tape_restored",
                 "aborted", "normalizations", "command"):
         assert key in out
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the README's python blocks, run in order in one namespace, so a rename
+    # in the library breaks this test rather than the docs
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["path True", "1"]
+    assert len(lines) == 3 and int(lines[2]) != 0

@@ -410,7 +410,7 @@ def test_iteration_count_scaling():
     assert iteration_count(2, 8.0) == 8
     assert iteration_count(10, 8.0) == 27
     assert iteration_count(2, 1.0) == 1
-    for kappa in (-3.0, 0.0, float("inf"), float("nan")):
+    for kappa in (-3.0, 0.0, float("inf"), float("nan"), 1e308):
         with pytest.raises(ValueError, match="kappa"):
             iteration_count(4, kappa)
 

@@ -29,6 +29,7 @@ from catgraph.walks import (
     estimate_stationary,
     general_tape_bits,
     register_width,
+    rotor_widths,
     simulation_count,
     stationary_tape_bits,
     walk_length,
@@ -45,6 +46,7 @@ from helpers import (
     figure_dag,
     out_regular_graph,
     random_dag,
+    reference_stationary,
     reference_walk,
 )
 
@@ -250,10 +252,12 @@ def test_every_walk_tape_write_goes_through_write_bits(driver):
 @pytest.mark.parametrize("restore", [True, False])
 def test_stationary_reads_its_rotor_span_once(restore):
     tape = make_tape(stationary_tape_bits(_SWEEP_GRAPH), "random", 1)
-    with fail_at(CatalyticTape, "read_bits", None) as counter:
+    with fail_at(CatalyticTape, "read_bits", None) as reads, \
+            fail_at(CatalyticTape, "write_bits", None) as writes:
         estimate_stationary(_SWEEP_GRAPH, 0, 2, 0.5, tape, restore=restore)
-    # one read at entry, one in the partial flush of the advanced rotors
-    assert counter.calls == 2
+    # one read at entry, one whole-span write-back, then the restore
+    assert reads.calls == 1
+    assert writes.calls == (2 if restore else 1)
 
 
 def test_simulation_count_and_width():
@@ -264,6 +268,9 @@ def test_simulation_count_and_width():
     for eps in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(ValueError, match="eps"):
             simulation_count(12, eps)
+    # 2m/eps past the float range is an input error, not an OverflowError
+    with pytest.raises(ValueError, match="eps"):
+        simulation_count(3, 1e-320)
 
 
 def test_estimate_dag_start_at_sink():
@@ -430,6 +437,11 @@ def test_walk_length_formula():
     for delta in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(ValueError, match="delta"):
             walk_length(4, 4, delta)
+    # T*(m+2)/delta past the float range is an input error, not an OverflowError
+    with pytest.raises(ValueError, match="delta"):
+        walk_length(3, 4, 1e-320)
+    with pytest.raises(ValueError, match="mixing time"):
+        walk_length(10**310, 4, 0.1)
 
 
 def test_negative_mixing_time_is_rejected():
@@ -522,6 +534,45 @@ def test_stationary_without_restore_leaves_unvisited_rotors_alone():
     assert res.metrics.catalytic_bits <= rot.widths[0] + rot.widths[1]
 
 
+def _ergodic_mixed_width_graph(rng):
+    # a cycle and a self-loop keep it ergodic; 0-15 extra edges per vertex
+    # give out-degrees up to 16, so rotor widths run from 1 to 4 bits
+    n = rng.randint(2, 17)
+    edges = {(v, (v + 1) % n) for v in range(n)} | {(0, 0)}
+    for u in range(n):
+        edges.update((u, v) for v in rng.sample(range(n), rng.randint(0, min(15, n))))
+    return AdjacencyGraph.from_edges(n, sorted(edges))
+
+
+def test_stationary_matches_reference_walk():
+    rng = random.Random(23)
+    widths = set()
+    for profile in TAPE_PROFILES:
+        for restore in (True, False):
+            for collect in (True, False):
+                for trial in range(4):
+                    g = _ergodic_mixed_width_graph(rng)
+                    widths.update(rotor_widths(g))
+                    v_star, start = rng.randrange(g.n), rng.randrange(g.n)
+                    T, delta = rng.randint(0, 6), rng.choice((0.5, 0.2, 0.1))
+                    seed = rng.randrange(1 << 16)
+                    tape = make_tape(stationary_tape_bits(g), profile, seed)
+                    ref = make_tape(stationary_tape_bits(g), profile, seed)
+                    res = estimate_stationary(g, v_star, T, delta, tape, start=start,
+                                              restore=restore, collect=collect)
+                    want = reference_stationary(g, v_star, T, delta, ref, start=start,
+                                                restore=restore, collect=collect)
+                    got = dict(rho=res.rho, t_prime=res.t_prime,
+                               visit_counts=res.visit_counts,
+                               final_rotors=res.final_rotors,
+                               elapsed_steps=res.metrics.elapsed_steps,
+                               catalytic_bits=res.metrics.catalytic_bits,
+                               tape_restored=res.metrics.tape_restored)
+                    case = (profile, restore, collect, trial)
+                    assert got == want, case
+                    assert tape.snapshot() == ref.snapshot(), case
+    assert widths == {1, 2, 3, 4}
+
 def _mixed_width_graph(rng, shift, n=17):
     # every out-degree 1..16 occurs, so rotor widths run from 1 to 4 bits
     edges = []
@@ -552,20 +603,16 @@ def test_rotor_registers_move_one_span_at_unaligned_base():
         assert rot.load() == [x % g.outdeg(v) for v, x in enumerate(raw)]
         whole = tape.read_bits(0, tape.nbits)
         outside = whole & ~(((1 << (rot.end - base)) - 1) << base)
-        only = sorted(rng.sample(range(g.n), 5))
         values = [rng.randrange(1 << w) for w in rot.widths]
-        rot.flush(values, only)
-        want = [values[v] if v in only else x for v, x in enumerate(raw)]
-        assert _rotor_spans(tape, rot, base) == want
-        rot.restore_spans(raw)
-        assert tape.read_bits(0, tape.nbits) == whole
         rot.flush(values)
         assert _rotor_spans(tape, rot, base) == values
         after = tape.read_bits(0, tape.nbits)
         assert after & ~(((1 << (rot.end - base)) - 1) << base) == outside
         with pytest.raises(ValueError):
-            rot.flush([1 << w for w in rot.widths], [0])
+            rot.flush([1 << w for w in rot.widths])
         assert tape.read_bits(0, tape.nbits) == after
+        rot.restore_spans(raw)
+        assert tape.read_bits(0, tape.nbits) == whole
 
 
 def test_rotor_state_collision_demonstrates_information_loss():
