@@ -84,6 +84,17 @@ class _PushProgram:
     undo a run cut short anywhere. `pause(stage)`, when given, is called
     after every step of `run_push` and `run_reverse`.
 
+    A run reads each bank once: the first phase that uses a bank reads it
+    with `read_span` and holds its registers' residues and the bits of its
+    destination span, and later phases compute from the held copy. Each
+    phase still writes its destination span once, and updates the held
+    copy only after that write, so the tape is current at every pause
+    point. Every other tape write (the start increment and
+    decrement, a shift or unshift) and a change of file or of modulus
+    drops the held copies first, as do `unwind` and an exception in a
+    phase; a held value never outlives a tape write the kernel did not
+    make.
+
     A subclass builds its spans once, from the file it is given; `use_file`
     moves the program to another file over the same registers, so a
     randomized driver builds one program per call and hands it each round's
@@ -104,10 +115,35 @@ class _PushProgram:
         self._sources = sources
         self.stride = stride
         self.pushes_per_phase = sum(len(l) for l in sources)
+        # each destination's position in its bank (every bank has one layout)
+        where = {idx: j for j, idx in enumerate(banks[0].indices)}
+        self._dst_at = [where[idx] for idx in dst[0].indices]
+        self._drop()
         self.pushed = 0
         self.b_applied = 0
         self.shifted = 0
         self.beta = 0
+
+    def _drop(self) -> None:
+        """Forget every held bank; the next phase reads from the tape."""
+        self._held = [None] * len(self.banks)
+
+    def _hold(self, r: int) -> tuple[list[int], int]:
+        """Bank r's register residues and its destination span's bits.
+
+        Read once with `read_span`, which validates the bank, and held
+        until the next drop.
+        """
+        held = self._held[r]
+        if held is None:
+            bank, dst = self.banks[r], self._dst[r]
+            blob, values = self.file.read_span(bank)
+            # an empty span's offset need not lie inside the bank
+            bits = ((blob >> (dst.offset - bank.offset)) & ((1 << dst.bits) - 1)
+                    if dst.bits else 0)
+            q = self.file.modulus
+            held = self._held[r] = ([v % q for v in values], bits)
+        return held
 
     def use_file(self, file: RegisterFile) -> None:
         """Run on `file` from now on; only its modulus may differ."""
@@ -117,32 +153,46 @@ class _PushProgram:
             raise ValueError(
                 "a program's new file must keep its tape, base, width and count"
             )
+        self._drop()
         self.file = file
 
     def layer_push(self, i: int, reverse: bool = False) -> None:
         """Apply phase i, or with `reverse` subtract the same sums again.
 
-        Every source and every destination (each has sources: a parity
+        The source and destination banks come from the held copies, each
+        read and validated by `read_span` the first time a run uses it, so
+        every source and every destination (each has sources: a parity
         vertex its self-edge, a layered destination its in-neighbors) is
-        validated before anything is written. Each span is read with one
-        `read_span`, and the destination span is written back once, patched
-        with the XOR of each register's old and new value, so registers
-        left out of the spans stay untouched and clean.
+        valid before anything is written. A destination's value moves by
+        its residue's change and stays in its lane (value = a*q + b, and
+        only b moves), so the destination span is written once as its held
+        bits plus each change at its register's position; registers left
+        out of it stay untouched and clean. The held copy takes the new
+        bits and residues only after that write.
         """
-        file, k = self.file, len(self.banks)
-        dst = self._dst[(i + 1) % k]
-        q = file.modulus
-        res = [val % q for val in file.read_span(self.banks[i % k])[1]]
-        blob, old = file.read_span(dst)
-        sign = -1 if reverse else 1
-        delta = 0
-        for val, pos, srcs in zip(old, dst.shifts, self._sources):
-            total = 0
-            for u in srcs:
-                total += res[u]
-            b = val % q
-            delta |= (val ^ (val - b + (b + sign * total) % q)) << pos
-        file.write_span(dst, blob ^ delta)
+        k = len(self.banks)
+        r = (i + 1) % k
+        q = self.file.modulus
+        try:
+            res = self._hold(i % k)[0]
+            old, blob = self._hold(r)
+            dst = self._dst[r]
+            residues = old.copy()
+            sign = -1 if reverse else 1
+            delta = 0
+            for j, pos, srcs in zip(self._dst_at, dst.shifts, self._sources):
+                total = 0
+                for u in srcs:
+                    total += res[u]
+                b = residues[j]
+                nb = residues[j] = (b + sign * total) % q
+                delta += (nb - b) << pos
+            blob += delta
+            self.file.write_span(dst, blob)
+        except BaseException:
+            self._drop()
+            raise
+        self._held[r] = (residues, blob)
         self.steps.add(self.pushes_per_phase)
 
     def forward_phase(self) -> None:
@@ -160,6 +210,7 @@ class _PushProgram:
     def run_push(self, b: int) -> None:
         assert self.pushed == 0
         pause = self.pause
+        self._drop()
         self.file.add_mod(self.s, b)
         self.b_applied = b
         self.steps.add(1)
@@ -176,6 +227,7 @@ class _PushProgram:
             self.reverse_phase()
             if pause is not None:
                 pause(f"reverse:b={b}:layer={self.pushed}")
+        self._drop()
         self.file.sub_mod(self.s, b)
         self.b_applied = 0
         self.steps.add(1)
@@ -183,10 +235,15 @@ class _PushProgram:
             pause(f"start-decrement:b={b}")
 
     def unwind(self) -> None:
-        """Undo the pushed phases and the start increment, without pausing."""
+        """Undo the pushed phases and the start increment, without pausing.
+
+        The phases read the banks afresh, whatever was held before.
+        """
+        self._drop()
         while self.pushed:
             self.reverse_phase()
         if self.b_applied:
+            self._drop()
             self.file.sub_mod(self.s, self.b_applied)
             self.b_applied = 0
 
@@ -196,6 +253,7 @@ class _PushProgram:
         Returns whether every bank register is valid for q afterwards.
         """
         assert self.shifted == 0
+        self._drop()
         self.beta = beta
         valid = True
         for bank in self.banks:
@@ -205,6 +263,7 @@ class _PushProgram:
 
     def unshift(self) -> None:
         """Remove the shift from the banks that carry it, last bank first."""
+        self._drop()
         inverse = (-self.beta) & self.file._mask
         while self.shifted:
             self.file.shift_indices(self.banks[self.shifted - 1], inverse)

@@ -56,21 +56,44 @@ class WalkRegisters(RegisterFile):
 
     A register file with modulus 2**width. Hot loops run against a loaded
     list of values; `flush` writes back the registers marked touched, so
-    the tape is authoritative at every API boundary.
+    the tape is authoritative at every API boundary. `load` keeps the bits
+    it read and `flush` patches them, so a load and a flush make one tape
+    read and one write; the registers must not be written otherwise
+    between the two.
     """
 
-    __slots__ = ()
+    __slots__ = ("_loaded",)
 
     def __init__(self, tape: CatalyticTape, base: int, count: int, width: int):
         super().__init__(tape, base, count, width, 1 << width)
+        self._loaded = None
 
     def load(self) -> list[int]:
-        return self.read_block(0, self.count)
+        """Every register's value, from one tape read that `flush` reuses."""
+        w, mask = self.width, self._mask
+        bits = self._loaded = self.tape.read_bits(self.base, self.count * w)
+        return [(bits >> pos) & mask for pos in range(0, self.count * w, w)]
 
     def flush(self, values: list[int]) -> None:
-        """Write the marked registers' values with one `scatter`."""
-        marked = sorted(self._dirty)
-        self.scatter(marked, [values[i] for i in marked])
+        """Write the marked registers' values with one tape write.
+
+        Patches the bits of the last `load` (read afresh without one), so
+        only the marked registers change; their values are checked first.
+        """
+        if not self._dirty:
+            return
+        w, mask = self.width, self._mask
+        bits = self._loaded
+        if bits is None:
+            bits = self.tape.read_bits(self.base, self.count * w)
+        self._loaded = None
+        delta = 0
+        for i in self._dirty:
+            x = values[i]
+            if x < 0 or x > mask:
+                raise ValueError(f"value {x} does not fit in {w} bits")
+            delta |= (((bits >> (i * w)) & mask) ^ x) << (i * w)
+        self.tape.write_bits(self.base, self.count * w, bits ^ delta)
 
     def mark_touched(self, indices) -> None:
         self._dirty.update(indices)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from itertools import accumulate
+from types import MethodType
 
 from catgraph.errors import WalkCycleError
 from catgraph.graphs import AdjacencyGraph, GraphOracle
@@ -170,6 +171,34 @@ def reference_stationary(g, v_star, mix_time, delta, tape, *, start=0,
                 final_rotors=values, elapsed_steps=steps,
                 catalytic_bits=sum(widths[u] for u in visited),
                 tape_restored=tape.snapshot() == before)
+
+def reference_layer_push(prog, i: int, reverse: bool = False) -> None:
+    """The push kernel that reads both of a phase's spans from the tape:
+    the source bank and the destination span, each with `read_span`, then
+    one `write_span`. Kept as the reference for the kernel that holds each
+    bank across a run."""
+    file, k = prog.file, len(prog.banks)
+    dst = prog._dst[(i + 1) % k]
+    q = file.modulus
+    res = [val % q for val in file.read_span(prog.banks[i % k])[1]]
+    blob, old = file.read_span(dst)
+    sign = -1 if reverse else 1
+    delta = 0
+    for val, pos, srcs in zip(old, dst.shifts, prog._sources):
+        total = 0
+        for u in srcs:
+            total += res[u]
+        b = val % q
+        delta |= (val ^ (val - b + (b + sign * total) % q)) << pos
+    file.write_span(dst, blob ^ delta)
+    prog.steps.add(prog.pushes_per_phase)
+
+
+def with_reference_kernel(prog):
+    """`prog`, its phases run by `reference_layer_push` from now on."""
+    prog.layer_push = MethodType(reference_layer_push, prog)
+    return prog
+
 
 class LoggingGraph(GraphOracle):
     """Out-edge queries answered by `base`, each one appended to `log`."""

@@ -32,6 +32,7 @@ from helpers import (
     buffer_and_write_bits_counts,
     fail_at,
     random_graph,
+    with_reference_kernel,
 )
 
 
@@ -180,6 +181,140 @@ def test_relevant_set_must_hold_its_in_neighbors():
     tape, file = layered_file(g, 1, 7)
     with pytest.raises(ValueError):
         LayeredPushState(g, 0, 1, file, relevant=[1, 2])
+
+
+# --- held banks against the two-read reference kernel ------------------------
+
+
+def _held_bank_case(rng, layered, q, profile, seed):
+    """A random push program: (build, tape, width, t, extract, T).
+
+    `build(tape)` makes the program over a copy of `tape` and returns it
+    with two files: one of modulus q, where every register is valid, and
+    one of a modulus q2 whose q2*d lies below q*d, under which one
+    register of bank 0 (set to q*d - 1) is invalid.
+    """
+    n = rng.randint(2, 7)
+    relevant = list(range(n))
+    if layered and rng.random() < 0.5:
+        relevant = sorted(rng.sample(range(n), rng.randint(1, n)))
+    rel = set(relevant)
+    # every in-neighbor of a relevant vertex is relevant
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v
+             and (u in rel or v not in rel) and rng.random() < 0.45]
+    g = AdjacencyGraph.from_edges(n, edges)
+    T = rng.randint(1, 4)
+    s, t = rng.choice(relevant), rng.choice(relevant)
+    count = (T + 1) * n if layered else 2 * n
+    width = q.bit_length() + 12
+    tape = make_tape(count * width, profile, seed)
+    file = valid_file(tape, 0, count, width, q)
+    q2 = rng.randrange(3, 1 << width, 2)
+    while q2 * ((1 << width) // q2) >= file._limit:
+        q2 = rng.randrange(3, 1 << width, 2)
+    file.write(rng.choice(relevant), file._limit - 1)
+
+    def build(copy):
+        tape = CatalyticTape(copy.nbits, bytearray(copy.snapshot()))
+        files = [allocate_registers(tape, 0, count, width, m) for m in (q, q2)]
+        if layered:
+            prog = LayeredPushState(g, s, T, files[0], relevant=relevant)
+        else:
+            prog = ParityProgram(g, s, T, files[0])
+        return prog, files
+
+    return build, tape, width, t, st_count_mod if layered else st_nonzero_mod, T
+
+
+def _drive_held_banks(prog, files, width, t, extract, T, seed, check):
+    """Run a program through extractions, a shift and unshift, tape-write
+    faults inside runs and a change of modulus; returns the log of
+    (event, tape bytes) at every pause point and after every step.
+
+    A fault in a phase of a b = 0 run leaves the banks held after the
+    unwind (there is no start increment to take away), so each step that
+    follows one would act on a held copy if it did not drop it.
+    """
+    tape = prog.file.tape
+    rng = random.Random(seed)
+    log = []
+
+    def note(event):
+        check(prog)
+        log.append((event, tape.snapshot()))
+
+    def attempt(event, fault=None):
+        try:
+            with fail_at(CatalyticTape, "write_bits", fault):
+                note(f"{event}:{extract(prog, t)}")
+        except (InjectedFault, InvalidRegisterError) as err:
+            note(f"{event}:{err}")
+
+    def b0_phase():  # a write of a phase of the first b = 0 run
+        return rng.randint(1, 2 * T)
+
+    prog.pause = note
+    prog.use_file(files[0])
+    attempt("extract")
+    attempt("cut-b0", b0_phase())
+    valid = prog.shift(rng.getrandbits(width))
+    note(f"shifted:{valid}")
+    if valid:
+        attempt("shifted-cut-b0", b0_phase())
+    prog.unshift()
+    note("unshifted")
+    attempt("cut-b1", rng.randint(2 * T + 3, 3 * T + 2))  # a b = 1 push phase
+    attempt("cut-b0", b0_phase())
+    prog.run_push(1)
+    prog.run_reverse(1)
+    attempt("cut-b0", b0_phase())
+    prog.use_file(files[1])
+    try:
+        prog.forward_phase()
+    except InvalidRegisterError as err:
+        note(str(err))
+    prog.unwind()
+    note("unwound")
+    attempt("extract-q2")
+    prog.use_file(files[0])
+    attempt("extract-again")
+    return log, prog.steps.n
+
+
+@pytest.mark.parametrize("layered", [False, True], ids=["parity", "layered"])
+def test_held_banks_match_the_two_read_kernel(layered):
+    # small, odd and wide power-of-two moduli (the last extracts in 16-bit
+    # groups), each on all three tape profiles
+    rng = random.Random(17 + layered)
+    held_checks = []
+
+    def check_held(prog):
+        for bank, dst, held in zip(prog.banks, prog._dst, prog._held):
+            if held is not None:
+                residues, bits = held
+                q = prog.file.modulus
+                assert residues == [v % q for v in prog.file.gather(bank)]
+                assert bits == prog.file.tape.read_bits(dst.offset, dst.bits)
+                held_checks.append(bank)
+
+    for trial in range(36):
+        q = (rng.randint(2, 9), rng.randrange(11, 5001, 2),
+             1 << rng.randint(17, 40))[trial % 3]
+        profile = TAPE_PROFILES[trial // 3 % 3]
+        build, tape, width, t, extract, T = _held_bank_case(
+            rng, layered, q, profile, trial)
+        prog, files = build(tape)
+        got = _drive_held_banks(prog, files, width, t, extract, T, trial,
+                                check_held)
+        ref, files = build(tape)
+        want = _drive_held_banks(with_reference_kernel(ref), files, width, t,
+                                 extract, T, trial, lambda prog: None)
+        assert got == want, (trial, q, profile)
+        events = [event for event, _ in got[0]]
+        assert any("write_bits call" in e for e in events), trial
+        assert any("holds" in e for e in events), trial
+        assert got[0][-1][1] == tape.snapshot(), trial
+    assert held_checks
 
 
 # --- two-bank nonzero ---------------------------------------------------------
@@ -652,6 +787,46 @@ def test_exact_step_counts_on_two_rings():
     assert ans.metrics.elapsed_steps == 257_152
     assert ans.metrics.workspace_peak_bits == 250
     assert connect_det(*_two_rings(2)).metrics.workspace_peak_bits == 87
+
+
+def test_tape_io_counts_on_two_rings():
+    # n = 16: each of rand's 32 rounds shifts and unshifts the 2 banks (one
+    # read and one write each) and makes 2 push runs of T = n phases
+    g, s, t = _two_rings(8)
+    n = g.n
+    iters = iteration_count(n, 8.0)
+    with fail_at(CatalyticTape, "read_bits", None) as reads, \
+            fail_at(CatalyticTape, "write_bits", None) as writes:
+        ans = connect_rand(g, s, t, seed=1)
+    assert ans.verdict == "no-path"
+    # a run writes the start increment, one span per phase each way and
+    # the start decrement
+    assert writes.calls == iters * (4 + 2 * (2 + 2 * n)) == 2304
+    # a run reads the start register twice, each bank once and the answer
+    assert reads.calls == iters * (4 + 2 * (2 + 2 + 1)) == 448
+
+
+@pytest.mark.parametrize("layered", [False, True], ids=["parity", "layered"])
+def test_push_run_reads_each_bank_once(layered):
+    # streaming extraction makes 2 runs; q = 2**40 extracts in 3 groups of 2
+    g = AdjacencyGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    T = 6
+    for q, runs in ((13, 2), (1 << 40, 6)):
+        if layered:
+            tape, file = layered_file(g, T, q)
+            prog, extract = LayeredPushState(g, 0, T, file), st_count_mod
+        else:
+            tape, file = parity_file(g, q)
+            prog, extract = ParityProgram(g, 0, T, file), st_nonzero_mod
+        before = tape.digest()
+        with fail_at(CatalyticTape, "read_bits", None) as reads, \
+                fail_at(CatalyticTape, "write_bits", None) as writes:
+            extract(prog, 4)
+        assert tape.digest() == before
+        # per run: the start increment and decrement read register s, each
+        # bank is read once (not two spans per phase) and the answer once
+        assert reads.calls == runs * (2 + len(prog.banks) + 1), q
+        assert writes.calls == runs * (2 + 2 * T), q
 
 
 def _invalid_after_first_shift(tape, count, width, seed, q_hi, reg):

@@ -260,6 +260,22 @@ def test_stationary_reads_its_rotor_span_once(restore):
     assert writes.calls == (2 if restore else 1)
 
 
+def test_estimate_dag_reads_and_writes_its_registers_once():
+    # the walks touch some registers of the 40, with untouched ones between
+    # them: the write-back patches the bits `load` read, not a second read
+    g = random_dag(random.Random(5), 40)
+    t = next(v for v in range(g.n) if g.outdeg(v) == 0)
+    tape = make_tape(dag_tape_bits(g, 0.05), "random", 1)
+    before = tape.digest()
+    with fail_at(CatalyticTape, "read_bits", None) as reads, \
+            fail_at(CatalyticTape, "write_bits", None) as writes:
+        res = estimate_dag(g, 0, t, 0.05, tape)
+    assert 0 < res.metrics.catalytic_bits < tape.nbits
+    assert reads.calls == 1
+    assert writes.calls == 1
+    assert tape.digest() == before
+
+
 def test_simulation_count_and_width():
     assert simulation_count(12, 0.1) == 240
     assert simulation_count(0, 0.5) == 1  # eps >= 2m clamps K to 1
