@@ -84,16 +84,13 @@ class _PushProgram:
     undo a run cut short anywhere. `pause(stage)`, when given, is called
     after every step of `run_push` and `run_reverse`.
 
-    A run reads each bank once: the first phase that uses a bank reads it
-    with `read_span` and holds its registers' residues and the bits of its
-    destination span, and later phases compute from the held copy. Each
-    phase still writes its destination span once, and updates the held
-    copy only after that write, so the tape is current at every pause
-    point. Every other tape write (the start increment and
-    decrement, a shift or unshift) and a change of file or of modulus
-    drops the held copies first, as do `unwind` and an exception in a
-    phase; a held value never outlives a tape write the kernel did not
-    make.
+    Banks are held write-through: the first step that needs a bank reads
+    it once and holds its residues and span bits; every change (a phase,
+    the start increment or decrement) goes to the tape first and to the
+    held copy once that write returns. A tape write happens whole or not at
+    all, so whatever raises leaves every held bank equal to the tape. Only
+    `shift`, `unshift` and `use_file`, which change the bits or their
+    meaning under the program, drop the held copies.
 
     A subclass builds its spans once, from the file it is given; `use_file`
     moves the program to another file over the same registers, so a
@@ -115,9 +112,20 @@ class _PushProgram:
         self._sources = sources
         self.stride = stride
         self.pushes_per_phase = sum(len(l) for l in sources)
-        # each destination's position in its bank (every bank has one layout)
-        where = {idx: j for j, idx in enumerate(banks[0].indices)}
-        self._dst_at = [where[idx] for idx in dst[0].indices]
+        # every bank has one layout: each destination's position in the
+        # bank, its bit position in the bank's span, and its sources
+        bank = banks[0]
+        where = {idx: j for j, idx in enumerate(bank.indices)}
+        self._targets = [(where[idx], bank.shifts[where[idx]], srcs)
+                         for idx, srcs in zip(dst[0].indices, sources)]
+        # an empty destination span's offset need not lie inside the bank
+        self._dst_off = dst[0].offset - bank.offset if dst[0].bits else 0
+        self._dst_mask = (1 << dst[0].bits) - 1
+        # s's position in bank 0 (None if no bank holds it) and its bit
+        # position in bank 0's span (None if its register lies outside)
+        self._s_at = where.get(s)
+        pos = file.base + s * file.width - bank.offset
+        self._s_pos = pos if 0 <= pos < bank.bits else None
         self._drop()
         self.pushed = 0
         self.b_applied = 0
@@ -125,24 +133,16 @@ class _PushProgram:
         self.beta = 0
 
     def _drop(self) -> None:
-        """Forget every held bank; the next phase reads from the tape."""
+        """Forget every held bank; the next step that needs one reads it."""
         self._held = [None] * len(self.banks)
 
     def _hold(self, r: int) -> tuple[list[int], int]:
-        """Bank r's register residues and its destination span's bits.
-
-        Read once with `read_span`, which validates the bank, and held
-        until the next drop.
-        """
+        """Bank r's residues and span bits, read and validated by `read_span`."""
         held = self._held[r]
         if held is None:
-            bank, dst = self.banks[r], self._dst[r]
-            blob, values = self.file.read_span(bank)
-            # an empty span's offset need not lie inside the bank
-            bits = ((blob >> (dst.offset - bank.offset)) & ((1 << dst.bits) - 1)
-                    if dst.bits else 0)
+            blob, values = self.file.read_span(self.banks[r])
             q = self.file.modulus
-            held = self._held[r] = ([v % q for v in values], bits)
+            held = self._held[r] = ([v % q for v in values], blob)
         return held
 
     def use_file(self, file: RegisterFile) -> None:
@@ -159,41 +159,48 @@ class _PushProgram:
     def layer_push(self, i: int, reverse: bool = False) -> None:
         """Apply phase i, or with `reverse` subtract the same sums again.
 
-        The source and destination banks come from the held copies, each
-        read and validated by `read_span` the first time a run uses it, so
-        every source and every destination (each has sources: a parity
-        vertex its self-edge, a layered destination its in-neighbors) is
-        valid before anything is written. A destination's value moves by
-        its residue's change and stays in its lane (value = a*q + b, and
-        only b moves), so the destination span is written once as its held
-        bits plus each change at its register's position; registers left
-        out of it stay untouched and clean. The held copy takes the new
-        bits and residues only after that write.
+        Each destination's residue change is added to the held bank bits at
+        its register's position (value = a*q + b and only b moves, so no
+        change leaves its lane). The destination span is written once, as a
+        slice of those bits, so registers without sources stay clean.
         """
         k = len(self.banks)
         r = (i + 1) % k
         q = self.file.modulus
-        try:
-            res = self._hold(i % k)[0]
-            old, blob = self._hold(r)
-            dst = self._dst[r]
-            residues = old.copy()
-            sign = -1 if reverse else 1
-            delta = 0
-            for j, pos, srcs in zip(self._dst_at, dst.shifts, self._sources):
-                total = 0
-                for u in srcs:
-                    total += res[u]
-                b = residues[j]
-                nb = residues[j] = (b + sign * total) % q
-                delta += (nb - b) << pos
-            blob += delta
-            self.file.write_span(dst, blob)
-        except BaseException:
-            self._drop()
-            raise
-        self._held[r] = (residues, blob)
+        res = self._hold(i % k)[0]
+        old, bits = self._hold(r)
+        residues = old.copy()
+        sign = -1 if reverse else 1
+        for j, pos, srcs in self._targets:
+            total = 0
+            for u in srcs:
+                total += res[u]
+            b = residues[j]
+            nb = residues[j] = (b + sign * total) % q
+            bits += (nb - b) << pos
+        self.file.write_span(self._dst[r], (bits >> self._dst_off) & self._dst_mask)
+        self._held[r] = (residues, bits)
         self.steps.add(self.pushes_per_phase)
+
+    def _add_start(self, amount: int) -> None:
+        """Add amount mod q to s's residue, writing s alone (0 writes nothing).
+
+        s's value comes from bank 0's held bits when they cover it.
+        """
+        file, pos = self.file, self._s_pos
+        q = file.modulus
+        amount %= q
+        if amount and pos is None:  # s lies outside bank 0's span; no phase reads it
+            file.add_mod(self.s, amount)
+        elif amount:
+            residues, bits = self._hold(0)
+            value = (bits >> pos) & file._mask
+            file._require_valid(self.s, value)
+            change = (value + amount) % q - value % q
+            file.write(self.s, value + change)
+            if self._s_at is not None:
+                residues[self._s_at] += change
+            self._held[0] = (residues, bits + (change << pos))
 
     def forward_phase(self) -> None:
         self.layer_push(self.pushed)
@@ -210,8 +217,7 @@ class _PushProgram:
     def run_push(self, b: int) -> None:
         assert self.pushed == 0
         pause = self.pause
-        self._drop()
-        self.file.add_mod(self.s, b)
+        self._add_start(b)
         self.b_applied = b
         self.steps.add(1)
         if pause is not None:
@@ -227,25 +233,18 @@ class _PushProgram:
             self.reverse_phase()
             if pause is not None:
                 pause(f"reverse:b={b}:layer={self.pushed}")
-        self._drop()
-        self.file.sub_mod(self.s, b)
+        self._add_start(-b)
         self.b_applied = 0
         self.steps.add(1)
         if pause is not None:
             pause(f"start-decrement:b={b}")
 
     def unwind(self) -> None:
-        """Undo the pushed phases and the start increment, without pausing.
-
-        The phases read the banks afresh, whatever was held before.
-        """
-        self._drop()
+        """Undo the pushed phases and the start increment, without pausing."""
         while self.pushed:
             self.reverse_phase()
-        if self.b_applied:
-            self._drop()
-            self.file.sub_mod(self.s, self.b_applied)
-            self.b_applied = 0
+        self._add_start(-self.b_applied)
+        self.b_applied = 0
 
     def shift(self, beta: int) -> bool:
         """Add beta mod 2**width to every bank's registers, bank by bank.
@@ -446,7 +445,7 @@ def _extract_residue(
             for b in (0, 1):
                 prog.run_push(b)
                 reads.append(file.read_group(idx, g) if grouped
-                             else file.stream_residue(idx, q))
+                             else file.stream_residue(idx))
                 prog.run_reverse(b)
             if not grouped:
                 return (reads[1] - reads[0]) % q

@@ -458,14 +458,14 @@ class RegisterFile:
         _, values = self.read_span(self.span(range(start, start + count)))
         return [v % q for v in values]
 
-    def stream_residue(self, idx: int, q: int | None = None) -> int:
-        """The register's value mod q (the modulus by default), in one tape read.
+    def stream_residue(self, idx: int) -> int:
+        """The register's value mod q, in one tape read.
 
         The logspace read streams the register GROUP_BITS at a time, most
         significant first, into an accumulator in [q); extraction's meter
         charge models that, so the simulation reads the register whole.
         """
-        return self.read(idx) % (self.modulus if q is None else q)
+        return self.read(idx) % self.modulus
 
     def read_group(self, idx: int, group: int) -> int:
         """The `group`-th GROUP_BITS-wide slice of a register, LSB first."""

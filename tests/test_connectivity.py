@@ -23,7 +23,13 @@ from catgraph.connectivity import (
 from catgraph.errors import BudgetExceededError, InvalidRegisterError
 from catgraph.graphs import AdjacencyGraph, GraphOracle
 from catgraph.oracles import bfs_reach, count_paths_layers, zeta_table
-from catgraph.tape import CatalyticTape, WorkspaceMeter, allocate_registers, make_tape
+from catgraph.tape import (
+    CatalyticTape,
+    RegisterFile,
+    WorkspaceMeter,
+    allocate_registers,
+    make_tape,
+)
 from catgraph.walks import dag_tape_bits, estimate_dag, estimate_general, estimate_stationary
 
 from helpers import (
@@ -192,7 +198,8 @@ def _held_bank_case(rng, layered, q, profile, seed):
     `build(tape)` makes the program over a copy of `tape` and returns it
     with two files: one of modulus q, where every register is valid, and
     one of a modulus q2 whose q2*d lies below q*d, under which one
-    register of bank 0 (set to q*d - 1) is invalid.
+    register of bank 0 (set to q*d - 1) is invalid. Some layered cases
+    start outside the relevant set, so s is no bank register.
     """
     n = rng.randint(2, 7)
     relevant = list(range(n))
@@ -205,6 +212,8 @@ def _held_bank_case(rng, layered, q, profile, seed):
     g = AdjacencyGraph.from_edges(n, edges)
     T = rng.randint(1, 4)
     s, t = rng.choice(relevant), rng.choice(relevant)
+    if layered and len(relevant) < n and rng.random() < 0.5:
+        s = rng.choice([v for v in range(n) if v not in rel])
     count = (T + 1) * n if layered else 2 * n
     width = q.bit_length() + 12
     tape = make_tape(count * width, profile, seed)
@@ -231,9 +240,10 @@ def _drive_held_banks(prog, files, width, t, extract, T, seed, check):
     faults inside runs and a change of modulus; returns the log of
     (event, tape bytes) at every pause point and after every step.
 
-    A fault in a phase of a b = 0 run leaves the banks held after the
-    unwind (there is no start increment to take away), so each step that
-    follows one would act on a held copy if it did not drop it.
+    A b = 0 run writes only its 2T phases, and a b = 1 run writes its start
+    increment, 2T phases and its start decrement. A fault leaves the banks
+    held, so each step after one acts on held copies that must equal the
+    tape.
     """
     tape = prog.file.tape
     rng = random.Random(seed)
@@ -251,7 +261,7 @@ def _drive_held_banks(prog, files, width, t, extract, T, seed, check):
             note(f"{event}:{err}")
 
     def b0_phase():  # a write of a phase of the first b = 0 run
-        return rng.randint(1, 2 * T)
+        return rng.randint(0, 2 * T - 1)
 
     prog.pause = note
     prog.use_file(files[0])
@@ -263,7 +273,9 @@ def _drive_held_banks(prog, files, width, t, extract, T, seed, check):
         attempt("shifted-cut-b0", b0_phase())
     prog.unshift()
     note("unshifted")
-    attempt("cut-b1", rng.randint(2 * T + 3, 3 * T + 2))  # a b = 1 push phase
+    attempt("cut-b1", rng.randint(2 * T + 1, 3 * T))  # a b = 1 push phase
+    attempt("cut-b1-increment", 2 * T)
+    attempt("cut-b1-decrement", 4 * T + 1)
     attempt("cut-b0", b0_phase())
     prog.run_push(1)
     prog.run_reverse(1)
@@ -289,12 +301,12 @@ def test_held_banks_match_the_two_read_kernel(layered):
     held_checks = []
 
     def check_held(prog):
-        for bank, dst, held in zip(prog.banks, prog._dst, prog._held):
+        for bank, held in zip(prog.banks, prog._held):
             if held is not None:
                 residues, bits = held
                 q = prog.file.modulus
                 assert residues == [v % q for v in prog.file.gather(bank)]
-                assert bits == prog.file.tape.read_bits(dst.offset, dst.bits)
+                assert bits == prog.file.tape.read_bits(bank.offset, bank.bits)
                 held_checks.append(bank)
 
     for trial in range(36):
@@ -789,21 +801,34 @@ def test_exact_step_counts_on_two_rings():
     assert connect_det(*_two_rings(2)).metrics.workspace_peak_bits == 87
 
 
+def _tape_io(driver, g, s, t):
+    """(reads, writes, add_mod calls) of one seed-1 call on the tape."""
+    with fail_at(CatalyticTape, "read_bits", None) as reads, \
+            fail_at(CatalyticTape, "write_bits", None) as writes, \
+            fail_at(RegisterFile, "add_mod", None) as adds:
+        ans = driver(g, s, t, seed=1)
+    assert ans.verdict == "no-path"
+    return reads.calls, writes.calls, adds.calls
+
+
 def test_tape_io_counts_on_two_rings():
-    # n = 16: each of rand's 32 rounds shifts and unshifts the 2 banks (one
-    # read and one write each) and makes 2 push runs of T = n phases
+    # each round shifts and unshifts its k banks (one read and one write
+    # each) and extracts with a b = 0 run and a b = 1 run; the first run
+    # reads each bank once, each run reads the answer once, a run writes
+    # one span per phase each way and only b = 1 writes the start
+    # increment and decrement (through the held bank, not `add_mod`)
     g, s, t = _two_rings(8)
     n = g.n
     iters = iteration_count(n, 8.0)
-    with fail_at(CatalyticTape, "read_bits", None) as reads, \
-            fail_at(CatalyticTape, "write_bits", None) as writes:
-        ans = connect_rand(g, s, t, seed=1)
-    assert ans.verdict == "no-path"
-    # a run writes the start increment, one span per phase each way and
-    # the start decrement
-    assert writes.calls == iters * (4 + 2 * (2 + 2 * n)) == 2304
-    # a run reads the start register twice, each bank once and the answer
-    assert reads.calls == iters * (4 + 2 * (2 + 2 + 1)) == 448
+    reads, writes, adds = _tape_io(connect_rand, g, s, t)  # k = 2, T = n
+    assert reads == iters * (3 * 2 + 2) == 256
+    assert writes == iters * (2 * 2 + 4 * n + 2) == 2240
+    assert adds == 0
+    T = revertible_parameters(g)["T"]  # k = T + 1
+    reads, writes, adds = _tape_io(connect_revertible, g, s, t)
+    assert reads == iters * (3 * (T + 1) + 2)
+    assert writes == iters * (2 * (T + 1) + 4 * T + 2)
+    assert adds == 0
 
 
 @pytest.mark.parametrize("layered", [False, True], ids=["parity", "layered"])
@@ -823,10 +848,11 @@ def test_push_run_reads_each_bank_once(layered):
                 fail_at(CatalyticTape, "write_bits", None) as writes:
             extract(prog, 4)
         assert tape.digest() == before
-        # per run: the start increment and decrement read register s, each
-        # bank is read once (not two spans per phase) and the answer once
-        assert reads.calls == runs * (2 + len(prog.banks) + 1), q
-        assert writes.calls == runs * (2 + 2 * T), q
+        # each bank is read once per extraction and the answer once per
+        # run; a run writes one span per phase each way, and a b = 1 run
+        # (half of them) its start increment and decrement too
+        assert reads.calls == len(prog.banks) + runs, q
+        assert writes.calls == runs * (1 + 2 * T), q
 
 
 def _invalid_after_first_shift(tape, count, width, seed, q_hi, reg):

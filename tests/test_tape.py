@@ -471,10 +471,11 @@ def test_program_rejects_a_file_of_another_geometry():
 def test_stream_residue_matches_direct_mod():
     tape = make_tape(300, "random", seed=8)
     file = allocate_registers(tape, 0, 6, 50, 977)
+    pow2 = allocate_registers(tape, 0, 6, 50, 64)
     for i in range(6):
         file.write(i, file.read(i) % file._limit)
-        assert file.stream_residue(i, 977) == file.read(i) % 977
-        assert file.stream_residue(i, 64) == file.read(i) % 64
+        assert file.stream_residue(i) == file.read(i) % 977
+        assert pow2.stream_residue(i) == file.read(i) % 64
 
 
 def test_meter_charge_release_and_peak():
