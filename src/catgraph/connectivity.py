@@ -84,13 +84,15 @@ class _PushProgram:
     undo a run cut short anywhere. `pause(stage)`, when given, is called
     after every step of `run_push` and `run_reverse`.
 
-    Banks are held write-through: the first step that needs a bank reads
-    it once and holds its residues and span bits; every change (a phase,
-    the start increment or decrement) goes to the tape first and to the
-    held copy once that write returns. A tape write happens whole or not at
-    all, so whatever raises leaves every held bank equal to the tape. Only
-    `shift`, `unshift` and `use_file`, which change the bits or their
-    meaning under the program, drop the held copies.
+    Banks are held write-through: the first step that needs a bank's span
+    bits reads them once, and they are held until the program goes; every
+    change (a shift or unshift, a phase, the start increment or decrement)
+    goes to the tape first and to the held bits once that write returns. A
+    tape write happens whole or not at all, so whatever raises leaves every
+    held bank equal to the tape. A bank's residues are built from its held
+    bits, validated as `RegisterFile.read_span` validates, when a step first
+    needs them; a shift or unshift of the bank, or `use_file` (a new
+    modulus), drops them.
 
     A subclass builds its spans once, from the file it is given; `use_file`
     moves the program to another file over the same registers, so a
@@ -126,24 +128,31 @@ class _PushProgram:
         self._s_at = where.get(s)
         pos = file.base + s * file.width - bank.offset
         self._s_pos = pos if 0 <= pos < bank.bits else None
-        self._drop()
+        self._bits = [None] * len(banks)
+        self._res = [None] * len(banks)
         self.pushed = 0
         self.b_applied = 0
         self.shifted = 0
         self.beta = 0
 
-    def _drop(self) -> None:
-        """Forget every held bank; the next step that needs one reads it."""
-        self._held = [None] * len(self.banks)
+    def _span_bits(self, r: int) -> int:
+        """Bank r's span bits, read from the tape the first time only."""
+        bits = self._bits[r]
+        if bits is None:
+            bank = self.banks[r]
+            bits = self._bits[r] = self.file.tape.read_bits(bank.offset, bank.bits)
+        return bits
 
     def _hold(self, r: int) -> tuple[list[int], int]:
-        """Bank r's residues and span bits, read and validated by `read_span`."""
-        held = self._held[r]
-        if held is None:
-            blob, values = self.file.read_span(self.banks[r])
+        """Bank r's residues and span bits; `span_values` validates the
+        residues when they are built (held residues imply held bits)."""
+        res, bits = self._res[r], self._bits[r]
+        if res is None:
+            bits = self._span_bits(r)
             q = self.file.modulus
-            held = self._held[r] = ([v % q for v in values], blob)
-        return held
+            res = self._res[r] = [
+                v % q for v in self.file.span_values(self.banks[r], bits)]
+        return res, bits
 
     def use_file(self, file: RegisterFile) -> None:
         """Run on `file` from now on; only its modulus may differ."""
@@ -153,7 +162,7 @@ class _PushProgram:
             raise ValueError(
                 "a program's new file must keep its tape, base, width and count"
             )
-        self._drop()
+        self._res = [None] * len(self.banks)
         self.file = file
 
     def layer_push(self, i: int, reverse: bool = False) -> None:
@@ -179,7 +188,7 @@ class _PushProgram:
             nb = residues[j] = (b + sign * total) % q
             bits += (nb - b) << pos
         self.file.write_span(self._dst[r], (bits >> self._dst_off) & self._dst_mask)
-        self._held[r] = (residues, bits)
+        self._res[r], self._bits[r] = residues, bits
         self.steps.add(self.pushes_per_phase)
 
     def _add_start(self, amount: int) -> None:
@@ -200,7 +209,7 @@ class _PushProgram:
             file.write(self.s, value + change)
             if self._s_at is not None:
                 residues[self._s_at] += change
-            self._held[0] = (residues, bits + (change << pos))
+            self._bits[0] = bits + (change << pos)
 
     def forward_phase(self) -> None:
         self.layer_push(self.pushed)
@@ -252,21 +261,27 @@ class _PushProgram:
         Returns whether every bank register is valid for q afterwards.
         """
         assert self.shifted == 0
-        self._drop()
         self.beta = beta
         valid = True
-        for bank in self.banks:
-            valid = self.file.shift_indices(bank, beta) and valid
+        for r in range(len(self.banks)):
+            valid = self._shift_bank(r, beta) and valid
             self.shifted += 1
         return valid
 
     def unshift(self) -> None:
         """Remove the shift from the banks that carry it, last bank first."""
-        self._drop()
         inverse = (-self.beta) & self.file._mask
         while self.shifted:
-            self.file.shift_indices(self.banks[self.shifted - 1], inverse)
+            self._shift_bank(self.shifted - 1, inverse)
             self.shifted -= 1
+
+    def _shift_bank(self, r: int, beta: int) -> bool:
+        """Shift bank r from its held bits and hold the result; are its
+        registers valid now? Its residues no longer hold."""
+        valid, self._bits[r] = self.file.shift_indices(
+            self.banks[r], beta, self._bits[r])
+        self._res[r] = None
+        return valid
 
 
 class ParityProgram(_PushProgram):
@@ -323,15 +338,14 @@ class LayeredPushState(_PushProgram):
         if file.count != (T + 1) * n:
             raise ValueError("layered program needs (T+1)*n registers")
         ids = range(n) if relevant is None else sorted(relevant)
-        self.relevant_set = set(ids)
+        # each relevant vertex's position in a bank
+        self._pos = pos = {v: k for k, v in enumerate(ids)}
         self.in_lists = {v: graph.in_neighbors(v) for v in ids}
-        if any(u not in self.relevant_set
-               for l in self.in_lists.values() for u in l):
+        if any(u not in pos for l in self.in_lists.values() for u in l):
             raise ValueError("every in-neighbor of a relevant vertex must be relevant")
         # per layer, the span of the relevant registers (the bank) and of
         # those of them with in-neighbors (the destinations); sources are
         # positions in the bank
-        pos = {v: k for k, v in enumerate(ids)}
         dsts = [v for v in ids if self.in_lists[v]]
         super().__init__(
             s, T, file, steps,
@@ -340,40 +354,37 @@ class LayeredPushState(_PushProgram):
             [[pos[u] for u in self.in_lists[v]] for v in dsts],
             n, pause,
         )
-        # each vertex's in-neighbors in layer 0; `original_value` reads them
-        # in layer i - 1 by moving the span i - 1 layers up the tape
-        self._in_spans = {v: file.span(l) for v, l in self.in_lists.items()}
-        self._layer_bits = n * file.width
+        # each destination's in-neighbors, as positions in a bank
+        self._in_pos = dict(zip(dsts, self._sources))
 
     def original_value(self, i: int, v: int) -> int:
         """Initial value of register (i, v) at the current pause point.
 
-        If layer i is currently pushed, the register equals its initial value
-        plus the (unchanged) layer-(i-1) residues of v's in-neighbors; layer 0
+        A relevant register's value comes from bank i's held bits. If layer
+        i is currently pushed, it equals its initial value plus the
+        (unchanged) held layer-(i-1) residues of v's in-neighbors; layer 0
         carries only the start increment; a shifted layer carries beta on
-        top. The tape is read, never written.
+        top. A register in no bank is read from the tape: of those only s,
+        by its start increment, ever changes. Nothing is written.
         """
         file = self.file
-        w = file.width
-        value = file.tape.read_bits(file.base + (i * self.stride + v) * w, w)
-        if v not in self.relevant_set:
-            return value
+        at = self._pos.get(v)
+        if at is None:
+            value = file.read(i * self.stride + v)
+        else:
+            value = (self._span_bits(i) >> self.banks[i].shifts[at]) & file._mask
         q = file.modulus
         delta = 0
         if i == 0:
             if v == self.s:
                 delta = self.b_applied
-        elif i <= self.pushed and self.in_lists[v]:
-            span, mask = self._in_spans[v], file._mask
-            blob = file.tape.read_bits(
-                span.offset + (i - 1) * self._layer_bits, span.bits)
-            for u, pos in zip(span.indices, span.shifts):
-                val = (blob >> pos) & mask
-                file._require_valid((i - 1) * self.stride + u, val)
-                delta += val % q
+        elif i <= self.pushed and v in self._in_pos:
+            res = self._hold(i - 1)[0]
+            for u in self._in_pos[v]:
+                delta += res[u]
         b = value % q
         value = value - b + (b - delta) % q
-        if i < self.shifted:
+        if i < self.shifted and at is not None:
             value = (value - self.beta) & file._mask
         return value
 

@@ -323,24 +323,29 @@ class RegisterFile:
 
     def shift_all(self, beta: int) -> bool:
         """Add beta mod 2**width to every register; inverse is 2**width - beta."""
-        return self.shift_indices(range(self.count), beta)
+        return self.shift_indices(range(self.count), beta)[0]
 
-    def shift_indices(self, indices: Sequence[int] | RegisterSpan, beta: int) -> bool:
-        """Add beta mod 2**width to the listed registers; are they all valid now?
+    def shift_indices(self, indices: Sequence[int] | RegisterSpan, beta: int,
+                      bits: int | None = None) -> tuple[bool, int]:
+        """Add beta mod 2**width to the listed registers.
+
+        Returns whether they are all valid now, and the span's new tape
+        bits. `bits`, when given, must be the span's current tape bits; the
+        shift then starts from them instead of reading the tape.
 
         The span is shifted lane-wise, one register per w-bit lane, with one
-        tape read and one write. With H the top bit of every lane, L the
-        other bits, and B holding beta in each listed lane (0 elsewhere),
-        the new span is ((x & L) + (B & L)) ^ ((x ^ B) & H): no carry
-        crosses a lane and unlisted lanes come back unchanged. Validity
-        is the same add of 2**width - q*d: a lane carries out of its top
-        bit exactly when it holds q*d or more.
+        tape read (none when given `bits`) and one write. With H the top bit
+        of every lane, L the other bits, and B holding beta in each listed
+        lane (0 elsewhere), the new span is ((x & L) + (B & L)) ^ ((x ^ B) & H):
+        no carry crosses a lane and unlisted lanes come back unchanged.
+        Validity is the same add of 2**width - q*d: a lane carries out of
+        its top bit exactly when it holds q*d or more.
         """
         if not 0 <= beta < (1 << self.width):
             raise ValueError("shift must be in [0, 2**width)")
         span = indices if isinstance(indices, RegisterSpan) else self.span(indices)
         if not span.shifts:
-            return True
+            return True, 0
         if span.lanes is None:
             w = self.width
             ones = 0
@@ -350,13 +355,13 @@ class RegisterFile:
             high = ((1 << span.bits) - 1) // self._mask << (w - 1)
             span.lanes = (ones, high, ((1 << span.bits) - 1) ^ high)
         ones, high, low = span.lanes
-        old = self.tape.read_bits(span.offset, span.bits)
+        old = self.tape.read_bits(span.offset, span.bits) if bits is None else bits
         b = beta * ones
         new = ((old & low) + (b & low)) ^ ((old ^ b) & high)
         self.write_span(span, new)
         c = ((1 << self.width) - self._limit) * ones
         s = ((new & low) + (c & low)) ^ ((new ^ c) & high)
-        return not ((new & c) | ((new | c) & ~s)) & high
+        return not ((new & c) | ((new | c) & ~s)) & high, new
 
     def span(self, indices: Sequence[int]) -> RegisterSpan:
         """The listed registers as a `RegisterSpan`, checked once here.
@@ -425,17 +430,24 @@ class RegisterFile:
     def read_span(self, span: RegisterSpan) -> tuple[int, list[int]]:
         """A span's tape bits and its registers' values, via one tape read.
 
+        The values are checked by `span_values`.
+        """
+        blob = self.tape.read_bits(span.offset, span.bits)
+        return blob, self.span_values(span, blob)
+
+    def span_values(self, span: RegisterSpan, blob: int) -> list[int]:
+        """The listed registers' values, taken from the span's bits `blob`.
+
         Raises InvalidRegisterError for the first listed register at or
         above q*d; only a failing call searches for it, so a valid span
         costs one `max`.
         """
-        blob = self.tape.read_bits(span.offset, span.bits)
         mask = self._mask
         values = [(blob >> pos) & mask for pos in span.shifts]
         if values and max(values) >= self._limit:
             for idx, value in zip(span.indices, values):
                 self._require_valid(idx, value)
-        return blob, values
+        return values
 
     def write_span(self, span: RegisterSpan, blob: int) -> None:
         """Write a span's tape bits in one tape write; its registers become dirty.

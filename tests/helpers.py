@@ -194,6 +194,36 @@ def reference_layer_push(prog, i: int, reverse: bool = False) -> None:
     prog.steps.add(prog.pushes_per_phase)
 
 
+def reference_original_value(state, i: int, v: int) -> int:
+    """The original-value query that reads the tape: register (i, v) and,
+    while layer i is pushed, the layer-(i-1) registers of v's in-neighbors,
+    each validated. Kept as the reference for the query that answers from
+    the held banks."""
+    file = state.file
+    w = file.width
+    value = file.tape.read_bits(file.base + (i * state.stride + v) * w, w)
+    if v not in state.in_lists:  # not a relevant vertex
+        return value
+    q = file.modulus
+    delta = 0
+    if i == 0:
+        if v == state.s:
+            delta = state.b_applied
+    elif i <= state.pushed and state.in_lists[v]:
+        span, mask = file.span(state.in_lists[v]), file._mask
+        blob = file.tape.read_bits(span.offset + (i - 1) * state.stride * w,
+                                   span.bits)
+        for u, pos in zip(span.indices, span.shifts):
+            val = (blob >> pos) & mask
+            file._require_valid((i - 1) * state.stride + u, val)
+            delta += val % q
+    b = value % q
+    value = value - b + (b - delta) % q
+    if i < state.shifted:
+        value = (value - state.beta) & file._mask
+    return value
+
+
 def with_reference_kernel(prog):
     """`prog`, its phases run by `reference_layer_push` from now on."""
     prog.layer_push = MethodType(reference_layer_push, prog)

@@ -38,6 +38,7 @@ from helpers import (
     buffer_and_write_bits_counts,
     fail_at,
     random_graph,
+    reference_original_value,
     with_reference_kernel,
 )
 
@@ -301,13 +302,17 @@ def test_held_banks_match_the_two_read_kernel(layered):
     held_checks = []
 
     def check_held(prog):
-        for bank, held in zip(prog.banks, prog._held):
-            if held is not None:
-                residues, bits = held
-                q = prog.file.modulus
-                assert residues == [v % q for v in prog.file.gather(bank)]
-                assert bits == prog.file.tape.read_bits(bank.offset, bank.bits)
-                held_checks.append(bank)
+        # held bits stay after a shift, an unshift or a change of modulus,
+        # which drop only the residues
+        file = prog.file
+        for bank, bits, residues in zip(prog.banks, prog._bits, prog._res):
+            if bits is not None:
+                assert bits == file.tape.read_bits(bank.offset, bank.bits)
+                held_checks.append(residues is not None)
+            if residues is not None:
+                assert bits is not None
+                q = file.modulus
+                assert residues == [v % q for v in file.gather(bank)]
 
     for trial in range(36):
         q = (rng.randint(2, 9), rng.randrange(11, 5001, 2),
@@ -326,7 +331,7 @@ def test_held_banks_match_the_two_read_kernel(layered):
         assert any("write_bits call" in e for e in events), trial
         assert any("holds" in e for e in events), trial
         assert got[0][-1][1] == tape.snapshot(), trial
-    assert held_checks
+    assert set(held_checks) == {False, True}
 
 
 # --- two-bank nonzero ---------------------------------------------------------
@@ -475,6 +480,22 @@ def test_revert_query_at_random_pause_points():
         state = LayeredPushState(g, 0, T, file, pause=pause)
         st_count_mod(state, n - 1)
         assert probes and all(probes)
+
+
+@pytest.mark.parametrize("edge, relevant, s", [((1, 2), [1, 2], 0),
+                                               ((0, 2), [0, 2], 1)],
+                         ids=["below-the-bank", "inside-the-span"])
+def test_revert_query_of_a_start_in_no_bank(edge, relevant, s):
+    # s is no bank register, yet its start increment changes it
+    g = AdjacencyGraph.from_edges(3, [edge])
+    tape, file = layered_file(g, 2, 7)
+    tau = [file.read(i) for i in range(file.count)]
+    state = LayeredPushState(g, s, 2, file, relevant=relevant)
+    state.run_push(1)
+    assert file.read(s) != tau[s]
+    assert [revert_query(state, (i, v)) for i in range(3) for v in range(3)] == tau
+    state.run_reverse(1)
+    assert [file.read(i) for i in range(file.count)] == tau
 
 
 # --- drivers ------------------------------------------------------------------
@@ -812,23 +833,45 @@ def _tape_io(driver, g, s, t):
 
 
 def test_tape_io_counts_on_two_rings():
-    # each round shifts and unshifts its k banks (one read and one write
-    # each) and extracts with a b = 0 run and a b = 1 run; the first run
-    # reads each bank once, each run reads the answer once, a run writes
-    # one span per phase each way and only b = 1 writes the start
-    # increment and decrement (through the held bank, not `add_mod`)
+    # the first shift reads each of the k banks once, and the program holds
+    # their bits for the rest of the call; each round shifts and unshifts
+    # the banks (one write each) and extracts with a b = 0 run and a b = 1
+    # run; each run reads the answer once, writes one span per phase each
+    # way, and only b = 1 writes the start increment and decrement
+    # (through the held bank, not `add_mod`)
     g, s, t = _two_rings(8)
     n = g.n
     iters = iteration_count(n, 8.0)
     reads, writes, adds = _tape_io(connect_rand, g, s, t)  # k = 2, T = n
-    assert reads == iters * (3 * 2 + 2) == 256
+    assert reads == 2 + 2 * iters == 66
     assert writes == iters * (2 * 2 + 4 * n + 2) == 2240
     assert adds == 0
-    T = revertible_parameters(g)["T"]  # k = T + 1
+    params = revertible_parameters(g)
+    T, n_ids, ell = params["T"], params["view_n"], params["ell"]  # k = T + 1
     reads, writes, adds = _tape_io(connect_revertible, g, s, t)
-    assert reads == iters * (3 * (T + 1) + 2)
+    assert reads == T + 1 + 2 * iters == 145
     assert writes == iters * (2 * (T + 1) + 4 * T + 2)
     assert adds == 0
+    # a query of a relevant register answers from the held banks alone
+    regs = [layer * n_ids + v for layer in (0, 1, T // 2, T) for v in (s, t)]
+    tape = make_tape(connect_revertible_tape_bits(g), "random", 1)
+    snap = tape.snapshot()
+    answers, query_reads = [], []
+    with fail_at(CatalyticTape, "read_bits", None) as counter:
+        def hook(point, query):
+            before = counter.calls
+            answers.append([query(idx) for reg in regs
+                            for idx in range(reg * ell, (reg + 1) * ell)])
+            query_reads.append(counter.calls - before)
+
+        ans = connect_revertible(g, s, t, seed=1, kappa=1.0, tape=tape,
+                                 pause_hook=hook)
+    assert ans.verdict == "no-path"
+    assert len(query_reads) == iteration_count(n, 1.0) * (4 * T + 6)
+    assert set(query_reads) == {0}
+    want = [(snap[idx >> 3] >> (idx & 7)) & 1 for reg in regs
+            for idx in range(reg * ell, (reg + 1) * ell)]
+    assert all(a == want for a in answers)
 
 
 @pytest.mark.parametrize("layered", [False, True], ids=["parity", "layered"])
@@ -925,6 +968,68 @@ def test_revertible_aborts_on_an_invalid_shifted_register():
 
 def test_revertible_aborts_when_the_last_scanned_register_is_invalid():
     _revertible_abort(last=True)
+
+
+def test_held_queries_match_the_tape_reading_reference(monkeypatch):
+    # random revertible calls on all three tape profiles, some aborting at
+    # the first shift and some cut by a tape-write fault: at every pause
+    # point, every relevant register of every layer answers as the
+    # tape-reading reference and as the tape before the call
+    states = []
+    init = LayeredPushState.__init__
+
+    def capturing_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        states.append(self)
+
+    monkeypatch.setattr(LayeredPushState, "__init__", capturing_init)
+    rng = random.Random(23)
+    outcomes, stages = set(), set()
+    for trial in range(100):
+        g = random_graph(rng, rng.randint(2, 7), p=rng.choice((0.2, 0.35)))
+        s, t = rng.sample(range(g.n), 2)
+        params = revertible_parameters(g)
+        T, n_ids, ell = params["T"], params["view_n"], params["ell"]
+        relevant = sorted(set(params["view"].iter_nonisolated()) | {s, t})
+        tape = make_tape(connect_revertible_tape_bits(g),
+                         TAPE_PROFILES[trial % 3], trial)
+        kind = trial // 3 % 4  # 0 and 1 plain, 2 abort, 3 write fault
+        seed = trial
+        if kind == 2:
+            # a power-of-two first modulus leaves every register valid
+            q_hi = params["q_hi"]
+            while (q := random.Random(seed).randrange(2, q_hi)) & (q - 1) == 0:
+                seed += 1000
+            _invalid_after_first_shift(
+                tape, (T + 1) * n_ids, ell, seed, q_hi,
+                rng.randint(0, T) * n_ids + rng.choice(relevant))
+        snap = tape.snapshot()
+        want = {(i, v): tape.read_bits((i * n_ids + v) * ell, ell)
+                for i in range(T + 1) for v in relevant}
+        bad = []
+
+        def hook(point, query):
+            state = states[-1]
+            stages.add(point.stage.split(":")[0])
+            for (i, v), value in want.items():
+                got = state.original_value(i, v)
+                if not got == reference_original_value(state, i, v) == value:
+                    bad.append((point, i, v))
+
+        # a cut inside the first round: its shift, runs or unshift
+        fault = rng.randrange(2 * (T + 1) + 4 * T + 2) if kind == 3 else None
+        try:
+            with fail_at(CatalyticTape, "write_bits", fault):
+                ans = connect_revertible(g, s, t, seed=seed, kappa=1.0,
+                                         tape=tape, pause_hook=hook)
+            outcomes.add(ans.verdict)
+        except InjectedFault:
+            outcomes.add("fault")
+        assert bad == [], (trial, bad[:3])
+        assert tape.snapshot() == snap, trial
+    assert outcomes == {"path", "no-path", "abort", "fault"}
+    assert stages == {"shifted", "start-increment", "push", "reverse",
+                      "start-decrement", "unshifted", "abort-unshifted"}
 
 
 def test_revertible_without_hook_gives_the_program_no_pause_callback(monkeypatch):

@@ -425,7 +425,7 @@ def test_lane_wise_shift_matches_per_register_add(data):
     for i in idx:
         sfile.write(i, (values[i] + beta) & mask)
     span = file.span(idx) if data.draw(st.booleans(), label="as span") else idx
-    valid = file.shift_indices(span, beta)
+    valid, _ = file.shift_indices(span, beta)
     # every bit outside the listed registers is unchanged
     assert tape.snapshot() == shadow.snapshot()
     assert file._dirty == set(idx)
