@@ -90,9 +90,10 @@ class _PushProgram:
     goes to the tape first and to the held bits once that write returns. A
     tape write happens whole or not at all, so whatever raises leaves every
     held bank equal to the tape. A bank's residues are built from its held
-    bits, validated as `RegisterFile.read_span` validates, when a step first
-    needs them; a shift or unshift of the bank, or `use_file` (a new
-    modulus), drops them.
+    bits, validated by `RegisterFile.span_values`, when a step first needs
+    them; a shift or unshift of the bank, or `use_file` (a new modulus),
+    drops them. s is a register of bank 0, so the program writes its bank
+    registers and no others.
 
     A subclass builds its spans once, from the file it is given; `use_file`
     moves the program to another file over the same registers, so a
@@ -123,11 +124,12 @@ class _PushProgram:
         # an empty destination span's offset need not lie inside the bank
         self._dst_off = dst[0].offset - bank.offset if dst[0].bits else 0
         self._dst_mask = (1 << dst[0].bits) - 1
-        # s's position in bank 0 (None if no bank holds it) and its bit
-        # position in bank 0's span (None if its register lies outside)
-        self._s_at = where.get(s)
-        pos = file.base + s * file.width - bank.offset
-        self._s_pos = pos if 0 <= pos < bank.bits else None
+        if s not in where:
+            raise ValueError(f"start vertex {s} has no register in bank 0")
+        # s's position in bank 0 and its bit position in bank 0's span
+        self._s_at = where[s]
+        self._s_pos = bank.shifts[self._s_at]
+        self.bank_registers = sum(len(b) for b in banks)
         self._bits = [None] * len(banks)
         self._res = [None] * len(banks)
         self.pushed = 0
@@ -153,6 +155,11 @@ class _PushProgram:
             res = self._res[r] = [
                 v % q for v in self.file.span_values(self.banks[r], bits)]
         return res, bits
+
+    @property
+    def catalytic_bits(self) -> int:
+        """The bank registers' bits, the only register bits a step writes."""
+        return self.bank_registers * self.file.width
 
     def use_file(self, file: RegisterFile) -> None:
         """Run on `file` from now on; only its modulus may differ."""
@@ -194,21 +201,18 @@ class _PushProgram:
     def _add_start(self, amount: int) -> None:
         """Add amount mod q to s's residue, writing s alone (0 writes nothing).
 
-        s's value comes from bank 0's held bits when they cover it.
+        s's value comes from bank 0's held bits.
         """
         file, pos = self.file, self._s_pos
         q = file.modulus
         amount %= q
-        if amount and pos is None:  # s lies outside bank 0's span; no phase reads it
-            file.add_mod(self.s, amount)
-        elif amount:
+        if amount:
             residues, bits = self._hold(0)
             value = (bits >> pos) & file._mask
             file._require_valid(self.s, value)
             change = (value + amount) % q - value % q
             file.write(self.s, value + change)
-            if self._s_at is not None:
-                residues[self._s_at] += change
+            residues[self._s_at] += change
             self._bits[0] = bits + (change << pos)
 
     def forward_phase(self) -> None:
@@ -318,9 +322,9 @@ def st_nonzero_mod(
 class LayeredPushState(_PushProgram):
     """T+1 banks R[i*n + v], one per layer; phase i pushes layer i into i+1.
 
-    Only the relevant vertices' registers are banks. The program's
-    reversible state is exactly what answers original-value queries at
-    every pause point.
+    Only the relevant vertices' registers are banks, and s must be
+    relevant. The program's reversible state is exactly what answers
+    original-value queries at every pause point.
     """
 
     def __init__(
@@ -364,15 +368,14 @@ class LayeredPushState(_PushProgram):
         i is currently pushed, it equals its initial value plus the
         (unchanged) held layer-(i-1) residues of v's in-neighbors; layer 0
         carries only the start increment; a shifted layer carries beta on
-        top. A register in no bank is read from the tape: of those only s,
-        by its start increment, ever changes. Nothing is written.
+        top. A register in no bank is read from the tape: no step writes
+        one. Nothing is written.
         """
         file = self.file
         at = self._pos.get(v)
         if at is None:
-            value = file.read(i * self.stride + v)
-        else:
-            value = (self._span_bits(i) >> self.banks[i].shifts[at]) & file._mask
+            return file.read(i * self.stride + v)
+        value = (self._span_bits(i) >> self.banks[i].shifts[at]) & file._mask
         q = file.modulus
         delta = 0
         if i == 0:
@@ -384,7 +387,7 @@ class LayeredPushState(_PushProgram):
                 delta += res[u]
         b = value % q
         value = value - b + (b - delta) % q
-        if i < self.shifted and at is not None:
+        if i < self.shifted:
             value = (value - self.beta) & file._mask
         return value
 
@@ -535,7 +538,7 @@ def connect_det(
         prog = ParityProgram(graph, s, n, file, run.steps)
         zeta = st_nonzero_mod(prog, t, meter=run.meter)
     verdict = VERDICT_PATH if zeta != 0 else VERDICT_NO_PATH
-    metrics = run.metrics(file.touched_bits, verdict=verdict,
+    metrics = run.metrics(prog.catalytic_bits, verdict=verdict,
                           normalizations=["dummy-self-edges"])
     return ConnectivityAnswer(verdict, metrics)
 
@@ -548,8 +551,8 @@ def _random_rounds(
     q_hi: int,
     t: int,
     extract: Callable[..., int],
-) -> tuple[str, int]:
-    """Up to `iters` rounds of a random modulus and shift; (verdict, touched).
+) -> str:
+    """Up to `iters` rounds of a random modulus and shift; returns the verdict.
 
     A round draws q in [2, q_hi) and a shift beta, hands the program a file
     of modulus q over its registers, shifts every bank, and extracts the
@@ -560,13 +563,12 @@ def _random_rounds(
     followed by an unshift from the banks still shifted. An invalid
     register aborts, a nonzero answer is a path, and all-zero rounds say
     no path. `prog.pause`, when set, also hears "shifted" and "unshifted"
-    (or "abort-unshifted"). `touched` is the most bits one round touched.
+    (or "abort-unshifted").
     """
     file = prog.file
     tape, base, count, ell = file.tape, file.base, file.count, file.width
     # scanning, then unshifting, every bank register is one step each
-    regs = sum(len(bank) for bank in prog.banks)
-    touched = 0
+    regs = prog.bank_registers
     for _ in range(iters):
         q = rng.randrange(2, q_hi)
         beta = rng.getrandbits(ell)
@@ -583,16 +585,15 @@ def _random_rounds(
             prog.unshift()
             raise
         run.steps.add(regs)
-        touched = max(touched, file.touched_bits)
         if value is None:
             if prog.pause is not None:
                 prog.pause("abort-unshifted")
-            return VERDICT_ABORT, touched
+            return VERDICT_ABORT
         if prog.pause is not None:
             prog.pause("unshifted")
         if value != 0:
-            return VERDICT_PATH, touched
-    return VERDICT_NO_PATH, touched
+            return VERDICT_PATH
+    return VERDICT_NO_PATH
 
 
 def rand_parameters(n: int) -> tuple[int, int]:
@@ -648,9 +649,9 @@ def connect_rand(
     ) as run:
         prog = ParityProgram(graph, s, n, RegisterFile(tape, 0, 2 * n, ell, 2),
                              run.steps)
-        verdict, touched = _random_rounds(prog, run, random.Random(seed), iters,
-                                          q_hi, t, st_nonzero_mod)
-    metrics = run.metrics(touched, verdict=verdict,
+        verdict = _random_rounds(prog, run, random.Random(seed), iters, q_hi, t,
+                                 st_nonzero_mod)
+    metrics = run.metrics(prog.catalytic_bits, verdict=verdict,
                           aborted=verdict == VERDICT_ABORT,
                           normalizations=["dummy-self-edges"])
     return ConnectivityAnswer(verdict, metrics)
@@ -712,14 +713,13 @@ def connect_revertible(
     cache = None  # original register values, only while a hook call runs
     # the registers start at tape bit 0; bits past them are never changed
     register_bits = (T + 1) * n_ids * ell
-    relevant_set = set(relevant)
 
     def query(bit_index: int) -> int:
         if not 0 <= bit_index < register_bits:
             return tape.read_bit(bit_index)
         reg, bit = divmod(bit_index, ell)
         layer, v = divmod(reg, n_ids)
-        if v not in relevant_set:
+        if v not in state._pos:  # no bank holds the register
             return tape.read_bit(bit_index)
         current = None if cache is None else cache.get(reg)
         if current is None:
@@ -749,14 +749,14 @@ def connect_revertible(
             relevant=relevant, steps=run.steps,
             pause=None if pause_hook is None else fire)
         try:
-            verdict, touched = _random_rounds(state, run, random.Random(seed),
-                                              iters, q_hi, t, st_count_mod)
+            verdict = _random_rounds(state, run, random.Random(seed), iters,
+                                     q_hi, t, st_count_mod)
         finally:
             # the hook reaches the state again through `query`; dropping
             # it lets the state go without waiting for the cycle collector
             state.pause = None
     metrics = run.metrics(
-        touched, verdict=verdict, aborted=verdict == VERDICT_ABORT,
+        state.catalytic_bits, verdict=verdict, aborted=verdict == VERDICT_ABORT,
         normalizations=["degree-reduction", f"virtual-self-loop:{t}"],
     )
     return ConnectivityAnswer(verdict, metrics)

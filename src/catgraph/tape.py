@@ -204,8 +204,8 @@ class RegisterSpan:
     int object per register); `full` says whether they fill it. A span
     depends only on the file's base and width, so it serves every file of
     the same geometry (files that differ only in their modulus), and
-    `gather`, `scatter`, `read_span`, `write_span` and `shift_indices` take
-    it without checking again.
+    `gather`, `scatter`, `span_values`, `write_span` and `shift_indices`
+    take it without checking again.
     `lanes` is None until the span is first shifted; then it holds the
     masks of the lane-wise add (see `RegisterFile.shift_indices`).
     """
@@ -245,7 +245,6 @@ class RegisterFile:
         "multiplier",
         "_limit",
         "_mask",
-        "_dirty",
     )
 
     def __init__(self, tape: CatalyticTape, base: int, count: int, width: int, modulus: int):
@@ -266,7 +265,6 @@ class RegisterFile:
         self.multiplier = (1 << width) // modulus
         self._limit = self.modulus * self.multiplier
         self._mask = (1 << width) - 1
-        self._dirty = set()
 
     def _offset(self, idx: int) -> int:
         if idx < 0 or idx >= self.count:
@@ -278,7 +276,6 @@ class RegisterFile:
 
     def write(self, idx: int, value: int) -> None:
         self.tape.write_bits(self._offset(idx), self.width, value)
-        self._dirty.add(idx)
 
     def is_valid(self, idx: int) -> bool:
         return self.read(idx) < self._limit
@@ -402,9 +399,9 @@ class RegisterFile:
         """Write the listed registers via one read and one write of their span.
 
         Only the listed registers change (the span is patched with an XOR
-        delta; when they fill it, it is written without the read) and only
-        they become dirty. Indices and values are all checked before the
-        write, so a rejected call leaves the tape unchanged.
+        delta; when they fill it, it is written without the read). Indices
+        and values are all checked before the write, so a rejected call
+        leaves the tape unchanged.
         """
         span = indices if isinstance(indices, RegisterSpan) else self.span(indices)
         if len(values) != len(span.shifts):
@@ -427,14 +424,6 @@ class RegisterFile:
             blob ^= delta
         self.write_span(span, blob)
 
-    def read_span(self, span: RegisterSpan) -> tuple[int, list[int]]:
-        """A span's tape bits and its registers' values, via one tape read.
-
-        The values are checked by `span_values`.
-        """
-        blob = self.tape.read_bits(span.offset, span.bits)
-        return blob, self.span_values(span, blob)
-
     def span_values(self, span: RegisterSpan, blob: int) -> list[int]:
         """The listed registers' values, taken from the span's bits `blob`.
 
@@ -450,12 +439,11 @@ class RegisterFile:
         return values
 
     def write_span(self, span: RegisterSpan, blob: int) -> None:
-        """Write a span's tape bits in one tape write; its registers become dirty.
+        """Write a span's tape bits in one tape write.
 
         The caller keeps the bits between the listed registers as they were.
         """
         self.tape.write_bits(span.offset, span.bits, blob)
-        self._dirty.update(span.indices)
 
     def read_block(self, start: int, count: int) -> list[int]:
         """Values of registers start..start+count-1 via one tape read."""
@@ -467,7 +455,8 @@ class RegisterFile:
     def residues_block(self, start: int, count: int) -> list[int]:
         """Residues of a contiguous block; validates every register in it."""
         q = self.modulus
-        _, values = self.read_span(self.span(range(start, start + count)))
+        span = self.span(range(start, start + count))
+        values = self.span_values(span, self.tape.read_bits(span.offset, span.bits))
         return [v % q for v in values]
 
     def stream_residue(self, idx: int) -> int:
@@ -486,10 +475,6 @@ class RegisterFile:
         if gw <= 0:
             raise IndexError(f"group {group} outside register width {self.width}")
         return self.tape.read_bits(off, gw)
-
-    @property
-    def touched_bits(self) -> int:
-        return len(self._dirty) * self.width
 
 
 def allocate_registers(

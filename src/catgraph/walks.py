@@ -62,11 +62,12 @@ class WalkRegisters(RegisterFile):
     between the two.
     """
 
-    __slots__ = ("_loaded",)
+    __slots__ = ("_loaded", "_marked")
 
     def __init__(self, tape: CatalyticTape, base: int, count: int, width: int):
         super().__init__(tape, base, count, width, 1 << width)
         self._loaded = None
+        self._marked = set()
 
     def load(self) -> list[int]:
         """Every register's value, from one tape read that `flush` reuses."""
@@ -80,7 +81,7 @@ class WalkRegisters(RegisterFile):
         Patches the bits of the last `load` (read afresh without one), so
         only the marked registers change; their values are checked first.
         """
-        if not self._dirty:
+        if not self._marked:
             return
         w, mask = self.width, self._mask
         bits = self._loaded
@@ -88,7 +89,7 @@ class WalkRegisters(RegisterFile):
             bits = self.tape.read_bits(self.base, self.count * w)
         self._loaded = None
         delta = 0
-        for i in self._dirty:
+        for i in self._marked:
             x = values[i]
             if x < 0 or x > mask:
                 raise ValueError(f"value {x} does not fit in {w} bits")
@@ -96,7 +97,12 @@ class WalkRegisters(RegisterFile):
         self.tape.write_bits(self.base, self.count * w, bits ^ delta)
 
     def mark_touched(self, indices) -> None:
-        self._dirty.update(indices)
+        self._marked.update(indices)
+
+    @property
+    def touched_bits(self) -> int:
+        """Bits of the registers marked touched so far."""
+        return len(self._marked) * self.width
 
 
 @dataclass

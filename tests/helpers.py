@@ -174,14 +174,16 @@ def reference_stationary(g, v_star, mix_time, delta, tape, *, start=0,
 
 def reference_layer_push(prog, i: int, reverse: bool = False) -> None:
     """The push kernel that reads both of a phase's spans from the tape:
-    the source bank and the destination span, each with `read_span`, then
-    one `write_span`. Kept as the reference for the kernel that holds each
-    bank across a run."""
+    the source bank and the destination span, each with one `read_bits`
+    validated by `span_values`, then one `write_span`. Kept as the reference
+    for the kernel that holds each bank across a run."""
     file, k = prog.file, len(prog.banks)
-    dst = prog._dst[(i + 1) % k]
+    bank, dst = prog.banks[i % k], prog._dst[(i + 1) % k]
     q = file.modulus
-    res = [val % q for val in file.read_span(prog.banks[i % k])[1]]
-    blob, old = file.read_span(dst)
+    read = file.tape.read_bits
+    res = [val % q for val in file.span_values(bank, read(bank.offset, bank.bits))]
+    blob = read(dst.offset, dst.bits)
+    old = file.span_values(dst, blob)
     sign = -1 if reverse else 1
     delta = 0
     for val, pos, srcs in zip(old, dst.shifts, prog._sources):

@@ -168,11 +168,10 @@ def test_relevant_layer_push_equals_sequential_edge_pushes():
         T = rng.randint(1, 3)
         q = rng.randint(2, 300)
         tape, clamped = layered_file(g, T, q, seed=trial)
-        # a fresh view, so only the push marks registers dirty
         file = allocate_registers(tape, 0, clamped.count, clamped.width, q)
         shadow = CatalyticTape(tape.nbits, bytearray(tape.snapshot()))
         sfile = allocate_registers(shadow, 0, file.count, file.width, q)
-        state = LayeredPushState(g, 0, T, file, relevant=relevant)
+        state = LayeredPushState(g, relevant[0], T, file, relevant=relevant)
         i = rng.randrange(T)
         sign = rng.choice((1, -1))
         state.layer_push(i, reverse=sign < 0)
@@ -180,14 +179,13 @@ def test_relevant_layer_push_equals_sequential_edge_pushes():
             for u in g.in_neighbors(v):
                 sfile.add_reg((i + 1) * n + v, i * n + u, sign)
         assert tape.snapshot() == shadow.snapshot(), trial
-        assert file.touched_bits == sfile.touched_bits, trial
 
 
 def test_relevant_set_must_hold_its_in_neighbors():
     g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
     tape, file = layered_file(g, 1, 7)
-    with pytest.raises(ValueError):
-        LayeredPushState(g, 0, 1, file, relevant=[1, 2])
+    with pytest.raises(ValueError, match="in-neighbor"):
+        LayeredPushState(g, 1, 1, file, relevant=[1, 2])
 
 
 # --- held banks against the two-read reference kernel ------------------------
@@ -199,8 +197,7 @@ def _held_bank_case(rng, layered, q, profile, seed):
     `build(tape)` makes the program over a copy of `tape` and returns it
     with two files: one of modulus q, where every register is valid, and
     one of a modulus q2 whose q2*d lies below q*d, under which one
-    register of bank 0 (set to q*d - 1) is invalid. Some layered cases
-    start outside the relevant set, so s is no bank register.
+    register of bank 0 (set to q*d - 1) is invalid.
     """
     n = rng.randint(2, 7)
     relevant = list(range(n))
@@ -213,8 +210,6 @@ def _held_bank_case(rng, layered, q, profile, seed):
     g = AdjacencyGraph.from_edges(n, edges)
     T = rng.randint(1, 4)
     s, t = rng.choice(relevant), rng.choice(relevant)
-    if layered and len(relevant) < n and rng.random() < 0.5:
-        s = rng.choice([v for v in range(n) if v not in rel])
     count = (T + 1) * n if layered else 2 * n
     width = q.bit_length() + 12
     tape = make_tape(count * width, profile, seed)
@@ -485,17 +480,26 @@ def test_revert_query_at_random_pause_points():
 @pytest.mark.parametrize("edge, relevant, s", [((1, 2), [1, 2], 0),
                                                ((0, 2), [0, 2], 1)],
                          ids=["below-the-bank", "inside-the-span"])
-def test_revert_query_of_a_start_in_no_bank(edge, relevant, s):
-    # s is no bank register, yet its start increment changes it
+def test_a_start_in_no_bank_is_rejected(edge, relevant, s):
+    # the start increment writes s, so s must be a bank register
     g = AdjacencyGraph.from_edges(3, [edge])
     tape, file = layered_file(g, 2, 7)
-    tau = [file.read(i) for i in range(file.count)]
-    state = LayeredPushState(g, s, 2, file, relevant=relevant)
-    state.run_push(1)
-    assert file.read(s) != tau[s]
-    assert [revert_query(state, (i, v)) for i in range(3) for v in range(3)] == tau
-    state.run_reverse(1)
-    assert [file.read(i) for i in range(file.count)] == tau
+    before = tape.snapshot()
+    with pytest.raises(ValueError, match="no register in bank 0"):
+        LayeredPushState(g, s, 2, file, relevant=relevant)
+    assert tape.snapshot() == before
+
+
+def test_a_start_outside_the_graph_is_rejected():
+    # register n would be vertex 0 of the second bank
+    g = AdjacencyGraph.from_edges(3, [(0, 1)])
+    tape, file = parity_file(g, 5)
+    before = tape.snapshot()
+    with pytest.raises(ValueError, match="no register in bank 0"):
+        ParityProgram(g, 3, 3, file)
+    with pytest.raises(ValueError, match="no register in bank 0"):
+        LayeredPushState(g, 3, 1, file)
+    assert tape.snapshot() == before
 
 
 # --- drivers ------------------------------------------------------------------
@@ -968,6 +972,59 @@ def test_revertible_aborts_on_an_invalid_shifted_register():
 
 def test_revertible_aborts_when_the_last_scanned_register_is_invalid():
     _revertible_abort(last=True)
+
+
+def test_catalytic_bits_are_the_registers_written(monkeypatch):
+    # the registers each call writes, by `write` or as a span's listed
+    # registers; not `write_bits` ranges, since a span write also covers
+    # the unlisted registers between its listed ones and leaves them as
+    # they were
+    written, widths = set(), set()
+    write, write_span = RegisterFile.write, RegisterFile.write_span
+
+    def recording_write(self, idx, value):
+        write(self, idx, value)
+        written.add(idx)
+        widths.add(self.width)
+
+    def recording_write_span(self, span, blob):
+        write_span(self, span, blob)
+        written.update(span.indices)
+        widths.add(self.width)
+
+    monkeypatch.setattr(RegisterFile, "write", recording_write)
+    monkeypatch.setattr(RegisterFile, "write_span", recording_write_span)
+
+    def check(driver, g, s, t, tape, **kwargs):
+        written.clear()
+        widths.clear()
+        ans = driver(g, s, t, tape=tape, **kwargs)
+        (width,) = widths
+        assert ans.metrics.catalytic_bits == len(written) * width > 0
+        assert ans.metrics.tape_restored
+        return ans.verdict
+
+    rng = random.Random(29)
+    verdicts = set()
+    for trial in range(30):
+        g = random_graph(rng, rng.randint(2, 7), p=rng.choice((0.2, 0.35)))
+        s, t = rng.sample(range(g.n), 2)
+        profile = TAPE_PROFILES[trial % 3]
+        verdicts.add(check(connect_det, g, s, t,
+                           make_tape(connect_det_tape_bits(g.n), profile, trial)))
+        verdicts.add(check(connect_rand, g, s, t,
+                           make_tape(connect_rand_tape_bits(g.n), profile, trial),
+                           seed=trial))
+        verdicts.add(check(connect_revertible, g, s, t,
+                           make_tape(connect_revertible_tape_bits(g), profile, trial),
+                           seed=trial, kappa=1.0))
+    # an abort at the first shift
+    g = AdjacencyGraph.from_edges(3, [(0, 1)])
+    q_hi, ell = rand_parameters(3)
+    tape = make_tape(connect_rand_tape_bits(3), "random", 0)
+    _invalid_after_first_shift(tape, 2 * g.n, ell, 1, q_hi, 0)
+    verdicts.add(check(connect_rand, g, 0, 2, tape, seed=1))
+    assert verdicts == {"path", "no-path", "abort"}
 
 
 def test_held_queries_match_the_tape_reading_reference(monkeypatch):

@@ -43,7 +43,7 @@ def _resolves(name: str, modules) -> bool:
 def test_readme_names_resolve_on_the_package():
     names = [name for name in DOTTED.findall(README.read_text())
              if name.rsplit(".", 1)[1] not in FILE_SUFFIXES]
-    assert "RegisterFile.read_span" in names
+    assert "RegisterFile.span_values" in names
     modules = _modules()
     stale = [name for name in names if not _resolves(name, modules)]
     assert not stale, f"README names what catgraph lacks: {stale}"

@@ -299,7 +299,7 @@ def test_gather_scatter_round_trip_against_scalar_ops():
         assert file.gather(idx) == values
 
 
-def test_scatter_changes_and_dirties_only_listed_registers():
+def test_scatter_changes_only_listed_registers():
     rng = random.Random(13)
     for trial in range(40):
         width = rng.randint(1, 70)
@@ -313,18 +313,13 @@ def test_scatter_changes_and_dirties_only_listed_registers():
         new = _tape_bits(tape)
         listed = {b for i in idx for b in range(base + i * width, base + (i + 1) * width)}
         assert all(old[b] == new[b] for b in range(tape.nbits) if b not in listed)
-        assert file._dirty == set(idx)
-        assert file.touched_bits == len(idx) * width
-        file.gather(range(count))
-        assert file._dirty == set(idx)
 
 
-def test_shift_indices_dirties_only_listed_registers():
+def test_shift_indices_changes_only_listed_registers():
     tape = make_tape(60, "random", seed=14)
     file = allocate_registers(tape, 3, 11, 5, 7)
     values = [file.read(i) for i in range(11)]
     file.shift_indices([7, 2, 9], 6)
-    assert file._dirty == {2, 7, 9}
     assert [file.read(i) for i in range(11)] == [
         (v + 6) % 32 if i in (2, 7, 9) else v for i, v in enumerate(values)
     ]
@@ -350,7 +345,6 @@ def test_gather_scatter_reject_bad_input_without_writing():
     with pytest.raises(ValueError):
         file.shift_indices([1, 2], 1 << 10)
     assert tape.snapshot() == before
-    assert file.touched_bits == 0
     assert file.gather([]) == []
     file.scatter([], [])
     assert tape.snapshot() == before
@@ -393,7 +387,6 @@ def test_span_ops_match_list_ops():
         by_span.shift_indices(span, beta)
         assert by_span.tape.snapshot() == by_list.tape.snapshot(), width
         assert by_span.gather(span) == [(v + beta) % (1 << width) for v in values]
-        assert by_span._dirty == by_list._dirty == set(idx)
 
 
 @given(st.data())
@@ -418,7 +411,6 @@ def test_lane_wise_shift_matches_per_register_add(data):
         values[idx[-1]] = (file._limit + edge - beta) & mask
     for i, v in enumerate(values):
         file.write(i, v)
-    file._dirty.clear()
     before = tape.snapshot()
     shadow = CatalyticTape(tape.nbits, bytearray(before))
     sfile = allocate_registers(shadow, base, count, width, q)
@@ -428,7 +420,6 @@ def test_lane_wise_shift_matches_per_register_add(data):
     valid, _ = file.shift_indices(span, beta)
     # every bit outside the listed registers is unchanged
     assert tape.snapshot() == shadow.snapshot()
-    assert file._dirty == set(idx)
     assert valid == (max((values[i] + beta) & mask for i in idx) < file._limit)
     file.shift_indices(span, ((1 << width) - beta) & mask)
     assert tape.snapshot() == before
@@ -446,7 +437,6 @@ def test_empty_span():
     with pytest.raises(ValueError):
         file.scatter(span, [1])
     assert tape.snapshot() == before
-    assert file.touched_bits == 0
 
 
 def test_program_rejects_a_file_of_another_geometry():
