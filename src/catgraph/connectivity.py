@@ -136,6 +136,7 @@ class _PushProgram:
         self.b_applied = 0
         self.shifted = 0
         self.beta = 0
+        self._stage_names = {}
 
     def _span_bits(self, r: int) -> int:
         """Bank r's span bits, read from the tape the first time only."""
@@ -182,10 +183,16 @@ class _PushProgram:
         """
         k = len(self.banks)
         r = (i + 1) % k
+        held = self._res
+        res = held[i % k]
+        if res is None:
+            res = self._hold(i % k)[0]
+        residues = held[r]
+        if residues is None:
+            residues = self._hold(r)[0]
+        residues = residues.copy()
+        bits = self._bits[r]
         q = self.file.modulus
-        res = self._hold(i % k)[0]
-        old, bits = self._hold(r)
-        residues = old.copy()
         sign = -1 if reverse else 1
         for j, pos, srcs in self._targets:
             total = 0
@@ -195,13 +202,15 @@ class _PushProgram:
             nb = residues[j] = (b + sign * total) % q
             bits += (nb - b) << pos
         self.file.write_span(self._dst[r], (bits >> self._dst_off) & self._dst_mask)
-        self._res[r], self._bits[r] = residues, bits
-        self.steps.add(self.pushes_per_phase)
+        held[r], self._bits[r] = residues, bits
+        self.steps.n += self.pushes_per_phase
 
     def _add_start(self, amount: int) -> None:
         """Add amount mod q to s's residue, writing s alone (0 writes nothing).
 
-        s's value comes from bank 0's held bits.
+        s's value comes from bank 0's held bits, valid for q: `_hold`
+        validates every bank-0 register before it holds their residues, and
+        every program write keeps a register valid.
         """
         file, pos = self.file, self._s_pos
         q = file.modulus
@@ -209,7 +218,6 @@ class _PushProgram:
         if amount:
             residues, bits = self._hold(0)
             value = (bits >> pos) & file._mask
-            file._require_valid(self.s, value)
             change = (value + amount) % q - value % q
             file.write(self.s, value + change)
             residues[self._s_at] += change
@@ -227,30 +235,47 @@ class _PushProgram:
         # the step-T values live in the bank last pushed to
         return (self.T % len(self.banks)) * self.stride + t
 
+    def _stages(self, b: int) -> tuple[str, list[str], list[str], str]:
+        """The pause stage names of a b run, built once per program: the
+        start increment, each layer's push and reverse, the decrement."""
+        stages = self._stage_names.get(b)
+        if stages is None:
+            layers = range(self.T)
+            stages = self._stage_names[b] = (
+                f"start-increment:b={b}",
+                [f"push:b={b}:layer={i}" for i in layers],
+                [f"reverse:b={b}:layer={i}" for i in layers],
+                f"start-decrement:b={b}",
+            )
+        return stages
+
     def run_push(self, b: int) -> None:
         assert self.pushed == 0
         pause = self.pause
         self._add_start(b)
         self.b_applied = b
-        self.steps.add(1)
+        self.steps.n += 1
         if pause is not None:
-            pause(f"start-increment:b={b}")
+            increment, pushes = self._stages(b)[:2]
+            pause(increment)
         for i in range(self.T):
             self.forward_phase()
             if pause is not None:
-                pause(f"push:b={b}:layer={i}")
+                pause(pushes[i])
 
     def run_reverse(self, b: int) -> None:
         pause = self.pause
+        if pause is not None:
+            _, _, reverses, decrement = self._stages(b)
         for _ in range(self.T):
             self.reverse_phase()
             if pause is not None:
-                pause(f"reverse:b={b}:layer={self.pushed}")
+                pause(reverses[self.pushed])
         self._add_start(-b)
         self.b_applied = 0
-        self.steps.add(1)
+        self.steps.n += 1
         if pause is not None:
-            pause(f"start-decrement:b={b}")
+            pause(decrement)
 
     def unwind(self) -> None:
         """Undo the pushed phases and the start increment, without pausing."""
@@ -375,14 +400,19 @@ class LayeredPushState(_PushProgram):
         at = self._pos.get(v)
         if at is None:
             return file.read(i * self.stride + v)
-        value = (self._span_bits(i) >> self.banks[i].shifts[at]) & file._mask
+        bits = self._bits[i]
+        if bits is None:
+            bits = self._span_bits(i)
+        value = (bits >> self.banks[i].shifts[at]) & file._mask
         q = file.modulus
         delta = 0
         if i == 0:
             if v == self.s:
                 delta = self.b_applied
         elif i <= self.pushed and v in self._in_pos:
-            res = self._hold(i - 1)[0]
+            res = self._res[i - 1]
+            if res is None:
+                res = self._hold(i - 1)[0]
             for u in self._in_pos[v]:
                 delta += res[u]
         b = value % q
@@ -716,11 +746,11 @@ def connect_revertible(
 
     def query(bit_index: int) -> int:
         if not 0 <= bit_index < register_bits:
-            return tape.read_bit(bit_index)
+            return tape.read_bit(bit_index)  # checks the index against the tape
         reg, bit = divmod(bit_index, ell)
         layer, v = divmod(reg, n_ids)
         if v not in state._pos:  # no bank holds the register
-            return tape.read_bit(bit_index)
+            return (tape._buf[bit_index >> 3] >> (bit_index & 7)) & 1
         current = None if cache is None else cache.get(reg)
         if current is None:
             current = state.original_value(layer, v)
@@ -732,7 +762,10 @@ def connect_revertible(
         nonlocal pause_id, iteration, cache
         cache = {}
         try:
-            pause_hook(PausePoint(pause_id, iteration, stage), query)
+            # tuple.__new__ builds the same PausePoint without the
+            # NamedTuple's Python-level __new__
+            pause_hook(tuple.__new__(PausePoint, (pause_id, iteration, stage)),
+                       query)
         finally:
             cache = None
         pause_id += 1

@@ -98,19 +98,32 @@ class CatalyticTape:
         return (chunk >> (offset & 7)) & ((1 << width) - 1)
 
     def write_bits(self, offset: int, width: int, value: int) -> None:
+        """Little-endian write of `value` into `width` bits from `offset`.
+
+        Only the span's partial first and last bytes are merged with the
+        buffer; the old span itself is never decoded. Every check comes
+        before the one slice assignment, so a rejected write changes nothing.
+        """
         if offset < 0 or width < 0 or offset + width > self.nbits:
             raise self._span_error(offset, width)
         if width == 0:
             return
         if value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
+        buf = self._buf
         first = offset >> 3
-        last = (offset + width + 7) >> 3
+        end = offset + width
+        last = (end + 7) >> 3
         shift = offset & 7
-        mask = ((1 << width) - 1) << shift
-        chunk = int.from_bytes(self._buf[first:last], "little")
-        chunk = (chunk & ~mask) | (value << shift)
-        self._buf[first:last] = chunk.to_bytes(last - first, "little")
+        if shift:
+            # the first byte's bits below the span
+            value = (value << shift) | (buf[first] & ((1 << shift) - 1))
+        tail = end & 7
+        if tail:
+            # the last byte's bits above the span (the same byte as the
+            # first when the span lies inside one)
+            value |= buf[last - 1] >> tail << (end - (first << 3))
+        buf[first:last] = value.to_bytes(last - first, "little")
 
     def read_bit(self, index: int) -> int:
         self._check_span(index, 1)

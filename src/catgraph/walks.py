@@ -260,7 +260,9 @@ def estimate_dag(
     ) as run:
         values = regs.load()
         ends = _rotor_walks(g, s, FWD, K, values, width, counters, touched, run.steps)
-        _rotor_walks(g, s, REV, K, values, width, None, touched, run.steps)
+        # the reverse batch retraces the forward walks, whose registers are
+        # all marked already
+        _rotor_walks(g, s, REV, K, values, width, None, None, run.steps)
         regs.mark_touched(touched)
         regs.flush(values)
     n_reach = ends.get(t, 0)

@@ -6,6 +6,7 @@ import pytest
 from catgraph.connectivity import (
     LayeredPushState,
     ParityProgram,
+    PausePoint,
     connect_det,
     connect_det_tape_bits,
     connect_rand,
@@ -422,6 +423,23 @@ def test_push_kernel_rejects_invalid_register_and_restores(layered, reg):
     assert tape.digest() == before
 
 
+def test_an_invalid_start_register_fails_the_start_increment_unchanged():
+    # the start increment takes s from bank 0's held bits, which `_hold`
+    # validates first: s alone at q*d raises naming s, and nothing is written
+    g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
+    s = 2
+    tape, file = parity_file(g, 5, seed=4)
+    limit = file._limit  # q*d = 5 * 25 = 125, below 2**7
+    file.write(s, limit)
+    before = tape.snapshot()
+    prog = ParityProgram(g, s, 2, file)
+    with pytest.raises(InvalidRegisterError,
+                       match=f"register {s} holds {limit} >= q\\*d = {limit}"):
+        prog.run_push(1)
+    assert prog.b_applied == 0 and prog.pushed == 0
+    assert tape.snapshot() == before
+
+
 # --- revert queries -----------------------------------------------------------
 
 
@@ -684,6 +702,7 @@ def test_revertible_every_pause_answer_on_a_whole_run(profile):
         iters = iteration_count(g.n, 1.0)
         assert [(p.pause_id, p.iteration, p.stage) for p in points] == [
             (k, k // len(stages), stage) for k, stage in enumerate(stages * iters)]
+        assert all(type(point) is PausePoint for point in points)
 
 
 def test_bounds_helpers():

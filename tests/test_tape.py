@@ -517,6 +517,79 @@ def test_digest_equality_and_snapshot():
     assert a.digest() == b.digest()
 
 
+def _reference_write_bits(buf: bytes, offset: int, width: int, value: int) -> bytes:
+    """The buffer after writing `value` into bits offset.. one bit at a time."""
+    out = bytearray(buf)
+    for k in range(width):
+        i = offset + k
+        out[i >> 3] = out[i >> 3] & ~(1 << (i & 7)) | ((value >> k) & 1) << (i & 7)
+    return bytes(out)
+
+
+@st.composite
+def _tape_spans(draw):
+    """(tape length, offset, width) of a span inside the tape: anywhere,
+    empty, inside one byte, byte-aligned at both ends, or ending at the
+    tape's last bit (beside the tail bits past it)."""
+    nbits = draw(st.integers(1, 100))
+    kind = draw(st.sampled_from(("any", "empty", "in-byte", "aligned", "to-end")))
+    if kind == "in-byte":
+        lo = 8 * draw(st.integers(0, (nbits - 1) >> 3))
+        hi = min(lo + 8, nbits)
+        offset = draw(st.integers(lo, hi))
+        end = draw(st.integers(offset, hi))
+    elif kind == "aligned":
+        offset = 8 * draw(st.integers(0, nbits >> 3))
+        end = 8 * draw(st.integers(offset >> 3, nbits >> 3))
+    else:
+        offset = draw(st.integers(0, nbits))
+        if kind == "empty":
+            end = offset
+        elif kind == "to-end":
+            end = nbits
+        else:
+            end = draw(st.integers(offset, nbits))
+    return nbits, offset, end - offset
+
+
+@given(_tape_spans(), st.randoms(use_true_random=False), st.data())
+@settings(deadline=None, max_examples=300)
+def test_write_bits_matches_a_bit_by_bit_reference(span, rng, data):
+    nbits, offset, width = span
+    tape = CatalyticTape.random(nbits, rng)
+    value = data.draw(st.integers(0, (1 << width) - 1))
+    want = _reference_write_bits(tape.snapshot(), offset, width, value)
+    tape.write_bits(offset, width, value)
+    assert tape.snapshot() == want
+    assert tape.read_bits(offset, width) == value
+
+
+@given(_tape_spans(), st.randoms(use_true_random=False), st.data())
+@settings(deadline=None, max_examples=200)
+def test_write_bits_rejects_a_bad_value_or_span_unchanged(span, rng, data):
+    nbits, offset, width = span
+    tape = CatalyticTape.random(nbits, rng)
+    before = tape.snapshot()
+    bad = data.draw(st.sampled_from(
+        ("too-wide", "negative", "past-the-end", "before-the-start", "negative-width")
+        if width else ("past-the-end", "before-the-start", "negative-width")))
+    value = data.draw(st.integers(0, (1 << width) - 1))
+    if bad == "too-wide":
+        value += data.draw(st.integers(1, 1 << 70)) << width
+    elif bad == "negative":
+        value = -data.draw(st.integers(1, 1 << 70))
+    elif bad == "past-the-end":
+        width = nbits - offset + data.draw(st.integers(1, 20))
+    elif bad == "before-the-start":
+        offset = -data.draw(st.integers(1, 20))
+    else:
+        width = -data.draw(st.integers(1, 20))
+    error = ValueError if bad in ("too-wide", "negative") else SpanError
+    with pytest.raises(error):
+        tape.write_bits(offset, width, value)
+    assert tape.snapshot() == before
+
+
 def test_profiles():
     assert make_tape(16, "zeros").read_bits(0, 16) == 0
     assert make_tape(16, "ones").read_bits(0, 16) == 0xFFFF

@@ -7,6 +7,8 @@ as a crash of `bench/run.py --trace 1`; this test makes it fail here instead.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from catgraph import connectivity, walks
 from catgraph.graphs import AdjacencyGraph
 
@@ -59,3 +61,20 @@ def test_trace_targets_exist_and_record_every_layer():
     # each program's phases land in its own layer group
     assert drivers_of("connectivity.phase") == {"connect_det", "connect_rand"}
     assert drivers_of("connectivity.layer_push") == {"connect_revertible"}
+    # every push and reverse run makes its T phases through the traced
+    # entry points, so a rewrite of the phase loop cannot go round them
+    driver_of_span = np.array(tracer.call_driver)[arrays["call"]]
+
+    def calls_of(group, driver):
+        return int(np.count_nonzero(
+            summary["outer"] & (driver_of_span == driver)
+            & (summary["span_group"] == summary["group_ids"][group])))
+
+    phases = {"connect_det": ("connectivity.phase", g.n),
+              "connect_rand": ("connectivity.phase", g.n),
+              "connect_revertible": ("connectivity.layer_push",
+                                     connectivity.revertible_parameters(g)["T"])}
+    for driver, (group, T) in phases.items():
+        runs = (calls_of("connectivity.push_run", driver)
+                + calls_of("connectivity.reverse_run", driver))
+        assert calls_of(group, driver) == T * runs > 0, driver

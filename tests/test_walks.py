@@ -375,6 +375,31 @@ def test_repeated_walks_reverse_in_bulk(k):
     assert tape.digest() == before
 
 
+def test_catalytic_bits_are_the_registers_the_forward_walks_left():
+    # a walk advances the register of every vertex it leaves, so the
+    # registers written are those the forward batch visited that have an
+    # out-edge; the reverse batch retraces them and adds none
+    rng = random.Random(41)
+    cases = []
+    for _ in range(12):
+        g = random_dag(rng, rng.randint(2, 14))
+        sinks = [v for v in range(g.n) if g.outdeg(v) == 0]
+        cases.append((g, rng.randrange(g.n), rng.choice(sinks)))
+    for _ in range(4):
+        T = rng.randint(1, 4)
+        lift = LayeredLiftView(with_sink_loops(out_regular_graph(rng, 5, 2)), T)
+        cases.append((lift, lift.encode(rng.randint(0, T), rng.randrange(5)),
+                      lift.encode(T, rng.randrange(5))))
+    for trial, (g, s, t) in enumerate(cases):
+        eps = rng.choice((0.5, 0.2))
+        tape = make_tape(dag_tape_bits(g, eps), TAPE_PROFILES[trial % 3], trial)
+        res = estimate_dag(g, s, t, eps, tape, collect=True)
+        left = [v for v, visits in enumerate(res.counters.visits)
+                if visits and g.outdeg(v)]
+        assert res.metrics.catalytic_bits == len(left) * res.width, trial
+        assert res.metrics.tape_restored
+
+
 def test_collect_counters_accessor():
     g = AdjacencyGraph.from_edges(2, [(0, 1)])
     res = estimate_dag(g, 0, 1, 0.5, collect=True)
