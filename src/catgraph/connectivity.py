@@ -201,7 +201,9 @@ class _PushProgram:
             b = residues[j]
             nb = residues[j] = (b + sign * total) % q
             bits += (nb - b) << pos
-        self.file.write_span(self._dst[r], (bits >> self._dst_off) & self._dst_mask)
+        dst = self._dst[r]
+        self.file.tape.write_bits(dst.offset, dst.bits,
+                                  (bits >> self._dst_off) & self._dst_mask)
         held[r], self._bits[r] = residues, bits
         self.steps.n += self.pushes_per_phase
 

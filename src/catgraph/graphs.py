@@ -88,6 +88,10 @@ class AdjacencyGraph(GraphOracle):
         lst = self.out_lists[v]
         return lst[i] if 0 <= i < len(lst) else None
 
+    def out_neighbors(self, v: int) -> list[int]:
+        """A copy of v's out-list, so the caller cannot change the graph."""
+        return list(self.out_lists[v])
+
     def edge_count(self) -> int:
         return self.m
 

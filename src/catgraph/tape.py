@@ -217,8 +217,9 @@ class RegisterSpan:
     int object per register); `full` says whether they fill it. A span
     depends only on the file's base and width, so it serves every file of
     the same geometry (files that differ only in their modulus), and
-    `gather`, `scatter`, `span_values`, `write_span` and `shift_indices`
-    take it without checking again.
+    `gather`, `scatter`, `span_values` and `shift_indices` take it without
+    checking again; a span's bits are written with one `write_bits` of
+    its `offset` and `bits`.
     `lanes` is None until the span is first shifted; then it holds the
     masks of the lane-wise add (see `RegisterFile.shift_indices`).
     """
@@ -368,7 +369,7 @@ class RegisterFile:
         old = self.tape.read_bits(span.offset, span.bits) if bits is None else bits
         b = beta * ones
         new = ((old & low) + (b & low)) ^ ((old ^ b) & high)
-        self.write_span(span, new)
+        self.tape.write_bits(span.offset, span.bits, new)
         c = ((1 << self.width) - self._limit) * ones
         s = ((new & low) + (c & low)) ^ ((new ^ c) & high)
         return not ((new & c) | ((new | c) & ~s)) & high, new
@@ -435,7 +436,7 @@ class RegisterFile:
             for pos, v in zip(span.shifts, values):
                 delta |= (((blob >> pos) & mask) ^ v) << pos
             blob ^= delta
-        self.write_span(span, blob)
+        self.tape.write_bits(span.offset, span.bits, blob)
 
     def span_values(self, span: RegisterSpan, blob: int) -> list[int]:
         """The listed registers' values, taken from the span's bits `blob`.
@@ -450,13 +451,6 @@ class RegisterFile:
             for idx, value in zip(span.indices, values):
                 self._require_valid(idx, value)
         return values
-
-    def write_span(self, span: RegisterSpan, blob: int) -> None:
-        """Write a span's tape bits in one tape write.
-
-        The caller keeps the bits between the listed registers as they were.
-        """
-        self.tape.write_bits(span.offset, span.bits, blob)
 
     def read_block(self, start: int, count: int) -> list[int]:
         """Values of registers start..start+count-1 via one tape read."""

@@ -132,15 +132,20 @@ def _rotor_walks(g: GraphOracle, s: int, mode: str, walks: int,
 
     A walk on a LayeredLiftView is a walk on its base graph plus a layer
     counter: vertex (layer, v) keeps its register at layer * base_n + v and
-    the walk stops on the last layer. The lift is never materialized, and
-    the base graph answers exactly the queries it answers through the view.
-    Any other graph is walked as itself, with stride 0 and no last layer.
+    the walk stops on the last layer. The lift is never materialized. Any
+    other graph is walked as itself, with stride 0 and no last layer.
+
+    The base graph is read-only input: each call reads every base vertex's
+    out-list once, with `out_neighbors`, and its hops take their degrees
+    and out-edges from those lists, so the graph answers base.n queries
+    per batch however many walks and steps it runs. Steps, registers and
+    the meter's charges are those of per-hop `outdeg` and `outnbr` queries.
     """
     if type(g) is LayeredLiftView:
         base, stride, last = g.base, g.base_n, g.layers * g.base_n
     else:
         base, stride, last = g, 0, -1
-    outdeg, outnbr = base.outdeg, base.outnbr
+    out = [base.out_neighbors(v) for v in range(base.n)]
     mask = (1 << width) - 1
     fwd = mode == FWD
     n = g.n
@@ -159,8 +164,8 @@ def _rotor_walks(g: GraphOracle, s: int, mode: str, walks: int,
                 visits[i] += 1
             if off == last:
                 break
-            d = outdeg(v)
-            if d == 0:
+            nb = out[v]
+            if not nb:
                 break
             if hops >= n:
                 raise WalkCycleError(
@@ -168,17 +173,17 @@ def _rotor_walks(g: GraphOracle, s: int, mode: str, walks: int,
                 )
             x = values[i]
             if fwd:
-                r = x % d
+                r = x % len(nb)
                 values[i] = (x + 1) & mask
             else:
                 x = (x - 1) & mask
                 values[i] = x
-                r = x % d
+                r = x % len(nb)
             if mark is not None:
                 mark(i)
             if transitions is not None:
                 transitions[i][r] += 1
-            v = outnbr(v, r)
+            v = nb[r]
             off += stride
             hops += 1
         ends[i] = ends.get(i, 0) + 1
@@ -426,33 +431,35 @@ def estimate_stationary(
         raise ValueError(f"v_star={v_star} out of range for {g.n} vertices")
     if not 0 <= start < g.n:
         raise ValueError(f"start={start} out of range for {g.n} vertices")
-    for v in range(g.n):
-        if g.outdeg(v) == 0:
-            raise SinkVertexError(f"vertex {v} has no outgoing edges")
+    # the graph is read-only input: every out-list is read once here, and
+    # each step takes its degree and out-edge from these host-side copies
+    out = [g.out_neighbors(v) for v in range(g.n)]
+    degs = [len(nb) for nb in out]
+    if 0 in degs:
+        raise SinkVertexError(f"vertex {degs.index(0)} has no outgoing edges")
     m = g.edge_count()
     t_prime = walk_length(mix_time, m, delta)
     if tape is None:
         tape = CatalyticTape.zeros(stationary_tape_bits(g))
     rotors = RotorRegisters(tape, g)
-    outdeg, outnbr = g.outdeg, g.outnbr
     counts = [0] * g.n
     v = start
     with DriverRun(
-        tape, meter, vertex=g.n, edge_choice=max(g.outdeg(v) for v in range(g.n)) + 1,
+        tape, meter, vertex=g.n, edge_choice=max(degs) + 1,
         step=t_prime + 1, n_visit=t_prime + 1,
     ) as run:
         snap = rotors.snapshot_spans()
         # one read serves both: every out-degree is positive here, so each
         # rotor is its span mod out-degree, as `load` would give
-        values = [raw % outdeg(u) for u, raw in enumerate(snap)]
+        values = [raw % d for d, raw in zip(degs, snap)]
         # restore inside the try and again on the way out of it, so a fault
         # in the restoring write itself is retried
         try:
             for _ in range(t_prime):
                 counts[v] += 1
                 r = values[v]
-                values[v] = (r + 1) % outdeg(v)
-                v = outnbr(v, r)
+                values[v] = (r + 1) % degs[v]
+                v = out[v][r]
             run.steps.n += t_prime
             # a rotor the walk advanced gets its walked value and any other
             # its snapshot span, so the whole-span write changes only the

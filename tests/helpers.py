@@ -175,8 +175,9 @@ def reference_stationary(g, v_star, mix_time, delta, tape, *, start=0,
 def reference_layer_push(prog, i: int, reverse: bool = False) -> None:
     """The push kernel that reads both of a phase's spans from the tape:
     the source bank and the destination span, each with one `read_bits`
-    validated by `span_values`, then one `write_span`. Kept as the reference
-    for the kernel that holds each bank across a run."""
+    validated by `span_values`, then one `write_bits` of the destination
+    span. Kept as the reference for the kernel that holds each bank across
+    a run."""
     file, k = prog.file, len(prog.banks)
     bank, dst = prog.banks[i % k], prog._dst[(i + 1) % k]
     q = file.modulus
@@ -192,7 +193,7 @@ def reference_layer_push(prog, i: int, reverse: bool = False) -> None:
             total += res[u]
         b = val % q
         delta |= (val ^ (val - b + (b + sign * total) % q)) << pos
-    file.write_span(dst, blob ^ delta)
+    file.tape.write_bits(dst.offset, dst.bits, blob ^ delta)
     prog.steps.add(prog.pushes_per_phase)
 
 
@@ -247,6 +248,10 @@ class LoggingGraph(GraphOracle):
     def outnbr(self, v: int, i: int) -> int | None:
         self.log.append(("outnbr", v, i))
         return self.base.outnbr(v, i)
+
+    def out_neighbors(self, v: int) -> list[int]:
+        self.log.append(("out_neighbors", v))
+        return self.base.out_neighbors(v)
 
 
 class InjectedFault(Exception):

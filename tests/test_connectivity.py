@@ -7,6 +7,7 @@ from catgraph.connectivity import (
     LayeredPushState,
     ParityProgram,
     PausePoint,
+    _PushProgram,
     connect_det,
     connect_det_tape_bits,
     connect_rand,
@@ -720,6 +721,9 @@ class _OutnbrFails(AdjacencyGraph):
     def outnbr(self, v, i):
         raise RuntimeError("graph oracle unavailable")
 
+    def out_neighbors(self, v):
+        raise RuntimeError("graph oracle unavailable")
+
 
 def test_workspace_meter_is_used_and_released():
     g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -994,31 +998,40 @@ def test_revertible_aborts_when_the_last_scanned_register_is_invalid():
 
 
 def test_catalytic_bits_are_the_registers_written(monkeypatch):
-    # the registers each call writes, by `write` or as a span's listed
-    # registers; not `write_bits` ranges, since a span write also covers
-    # the unlisted registers between its listed ones and leaves them as
-    # they were
-    written, widths = set(), set()
-    write, write_span = RegisterFile.write, RegisterFile.write_span
+    # the registers each call writes: every `write_bits` range maps back
+    # to the registers of the call's push programs that it covers, and one
+    # of those counts as written if it is a bank register or the write
+    # changes its bits. A span write also covers the unlisted registers
+    # between its listed ones and leaves them as they were, so a covered
+    # register outside the banks counts only if its bits change
+    programs, writes = [], []
+    init, write_bits = _PushProgram.__init__, CatalyticTape.write_bits
 
-    def recording_write(self, idx, value):
-        write(self, idx, value)
-        written.add(idx)
-        widths.add(self.width)
+    def capturing_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        programs.append(self)
 
-    def recording_write_span(self, span, blob):
-        write_span(self, span, blob)
-        written.update(span.indices)
-        widths.add(self.width)
+    def recording_write_bits(self, offset, width, value):
+        writes.append((offset, width, self.read_bits(offset, width) ^ value))
+        write_bits(self, offset, width, value)
 
-    monkeypatch.setattr(RegisterFile, "write", recording_write)
-    monkeypatch.setattr(RegisterFile, "write_span", recording_write_span)
+    monkeypatch.setattr(_PushProgram, "__init__", capturing_init)
+    monkeypatch.setattr(CatalyticTape, "write_bits", recording_write_bits)
 
     def check(driver, g, s, t, tape, **kwargs):
-        written.clear()
-        widths.clear()
+        programs.clear()
+        writes.clear()
         ans = driver(g, s, t, tape=tape, **kwargs)
-        (width,) = widths
+        ((base, width),) = {(p.file.base, p.file.width) for p in programs}
+        banks = {idx for p in programs for bank in p.banks for idx in bank.indices}
+        mask = (1 << width) - 1
+        written = set()
+        for offset, bits, diff in writes:
+            first, rem = divmod(offset - base, width)
+            assert rem == 0 and bits % width == 0
+            for k in range(bits // width):
+                if first + k in banks or diff >> (k * width) & mask:
+                    written.add(first + k)
         assert ans.metrics.catalytic_bits == len(written) * width > 0
         assert ans.metrics.tape_restored
         return ans.verdict

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -257,3 +258,26 @@ def test_sink_loops_view_consistency():
                 assert v in view.out_neighbors(u)
             assert view.in_neighbors(v) == sorted(view.in_neighbors(v))
             assert view.indeg(v) == len(view.in_neighbors(v))
+
+
+def test_out_neighbors_list_the_per_index_answers():
+    # the walks read each out-list once with `out_neighbors`: every view
+    # lists the out-edges that its `outdeg` and `outnbr` queries give,
+    # sinks and the lift's last layer (all sinks) included
+    rng = random.Random(17)
+    empty = Counter()
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 8), p=rng.choice((0.1, 0.3)))
+        looped = SelfLoopView(g, *rng.sample(range(g.n), rng.randint(0, g.n)))
+        views = [g, looped, SinkLoopsView(g)]
+        views += [LayeredLiftView(view, T) for view in views for T in (0, 1, 3)]
+        for view in views:
+            for v in range(view.n):
+                nb = view.out_neighbors(v)
+                assert nb == [view.outnbr(v, i) for i in range(view.outdeg(v))]
+                if not nb:
+                    last = type(view) is LayeredLiftView and v >= view.layers * view.base_n
+                    empty["last layer" if last else "sink"] += 1
+                nb.append(v)  # a caller's list, not the graph's
+                assert view.outdeg(v) == len(nb) - 1
+    assert empty["sink"] > 0 and empty["last layer"] > 0
