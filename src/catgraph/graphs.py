@@ -296,6 +296,9 @@ class LayeredLiftView(GraphOracle):
     def encode(self, layer: int, v: int) -> int:
         return layer * self.base_n + v
 
+    def edge_count(self) -> int:
+        return self.layers * self.base.edge_count()
+
     def outdeg(self, vid: int) -> int:
         layer, v = self.decode(vid)
         return self.base.outdeg(v) if layer < self.layers else 0

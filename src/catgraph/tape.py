@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
+from itertools import accumulate, repeat
 import warnings
 from typing import Sequence
 
@@ -208,38 +209,73 @@ def alu_scratch_bits(width: int) -> int:
 
 
 class RegisterSpan:
-    """Register indices of one file, checked once, with their tape layout.
+    """Registers in one tape span, and the layout of their values in it.
 
-    Built by `RegisterFile.span`: `indices` in the caller's order, all in
-    range and distinct; `offset` and `bits` locate the tape span from the
-    lowest to the highest of them; `shifts` holds each register's bit
-    position inside that span (an array, so a program's many spans cost no
-    int object per register); `full` says whether they fill it. A span
-    depends only on the file's base and width, so it serves every file of
-    the same geometry (files that differ only in their modulus), and
-    `gather`, `scatter`, `span_values` and `shift_indices` take it without
-    checking again; a span's bits are written with one `write_bits` of
-    its `offset` and `bits`.
-    `lanes` is None until the span is first shifted; then it holds the
-    masks of the lane-wise add (see `RegisterFile.shift_indices`).
+    `offset` and `bits` locate the span; `indices` lists the registers in
+    the caller's order, `shifts` each one's bit position in the span and
+    `width` their common width or a list of each one's; `full` says whether
+    they fill the span. `unpack` and `pack` are the one place that turns
+    span bits into register values and back. `packed` builds a span of
+    per-register widths. `RegisterFile.span` builds and checks a file's
+    spans (`shifts` an array: no int object per register); `gather`,
+    `scatter`, `span_values` and `shift_indices` take them unchecked, and a
+    span serves every file of the same base and width. `lanes` is None
+    until the span is first shifted; then it holds the masks of the
+    lane-wise add (see `RegisterFile.shift_indices`).
     """
 
-    __slots__ = ("indices", "offset", "bits", "shifts", "full", "lanes")
+    __slots__ = ("indices", "offset", "bits", "shifts", "full", "width", "lanes")
 
-    def __init__(self, indices: tuple[int, ...], offset: int, bits: int,
-                 shifts: array, full: bool):
+    def __init__(self, indices: Sequence[int], offset: int, bits: int,
+                 shifts: Sequence[int], full: bool, width: int | list[int]):
         self.indices = indices
         self.offset = offset
         self.bits = bits
         self.shifts = shifts
         self.full = full
+        self.width = width
         self.lanes = None
+
+    @classmethod
+    def packed(cls, offset: int, widths: list[int]) -> "RegisterSpan":
+        """Registers 0, 1, ... of the given widths, end to end from `offset`."""
+        shifts = list(accumulate(widths, initial=0))
+        return cls(range(len(widths)), offset, shifts.pop(), shifts, True, widths)
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __iter__(self):
         return iter(self.indices)
+
+    def unpack(self, bits: int) -> list[int]:
+        """The listed registers' values, taken from the span's bits."""
+        w = self.width
+        if type(w) is int:
+            mask = (1 << w) - 1
+            return [(bits >> pos) & mask for pos in self.shifts]
+        return [(bits >> pos) & ((1 << x) - 1) for pos, x in zip(self.shifts, w)]
+
+    def pack(self, values: Sequence[int], bits: int = 0) -> int:
+        """`bits`, the span's bits, with the listed registers set to `values`.
+
+        Raises ValueError for a count other than the span's or a value that
+        does not fit its register. Unlisted registers keep their bits from
+        `bits`, so a span the registers fill needs none.
+        """
+        shifts, w = self.shifts, self.width
+        if len(values) != len(shifts):
+            raise ValueError(f"{len(values)} values for {len(shifts)} registers")
+        new = 0
+        # v >> x is nonzero exactly when v is negative or too wide
+        for pos, x, v in zip(shifts, repeat(w) if type(w) is int else w, values):
+            if v >> x:
+                raise ValueError(f"value {v} does not fit in {x} bits")
+            new |= v << pos
+        if self.full or not bits:
+            return new
+        # XOR the listed registers' old bits out of `bits` and the new ones in
+        return bits ^ self.pack(self.unpack(bits)) ^ new
 
 
 class RegisterFile:
@@ -358,12 +394,9 @@ class RegisterFile:
         if not span.shifts:
             return True, 0
         if span.lanes is None:
-            w = self.width
-            ones = 0
-            for pos in span.shifts:
-                ones |= 1 << pos
+            ones = span.pack([1] * len(span))
             # a 1 at the top of every lane of the span, listed or not
-            high = ((1 << span.bits) - 1) // self._mask << (w - 1)
+            high = ((1 << span.bits) - 1) // self._mask << (self.width - 1)
             span.lanes = (ones, high, ((1 << span.bits) - 1) ^ high)
         ones, high, low = span.lanes
         old = self.tape.read_bits(span.offset, span.bits) if bits is None else bits
@@ -382,7 +415,7 @@ class RegisterFile:
         """
         indices = tuple(indices)
         if not indices:
-            return RegisterSpan((), self.base, 0, array("q"), True)
+            return RegisterSpan((), self.base, 0, array("q"), True, self.width)
         lo, hi = min(indices), max(indices)
         if lo < 0 or hi >= self.count:
             bad = lo if lo < 0 else hi
@@ -392,7 +425,7 @@ class RegisterFile:
         w = self.width
         return RegisterSpan(
             indices, self.base + lo * w, (hi - lo + 1) * w,
-            array("q", [(i - lo) * w for i in indices]), hi - lo + 1 == len(indices),
+            array("q", [(i - lo) * w for i in indices]), hi - lo + 1 == len(indices), w,
         )
 
     def gather(self, indices: Sequence[int] | RegisterSpan) -> list[int]:
@@ -404,39 +437,21 @@ class RegisterFile:
         span = indices if isinstance(indices, RegisterSpan) else self.span(indices)
         if not span.shifts:
             return []
-        blob = self.tape.read_bits(span.offset, span.bits)
-        mask = self._mask
-        return [(blob >> pos) & mask for pos in span.shifts]
+        return span.unpack(self.tape.read_bits(span.offset, span.bits))
 
     def scatter(self, indices: Sequence[int] | RegisterSpan,
                 values: Sequence[int]) -> None:
         """Write the listed registers via one read and one write of their span.
 
-        Only the listed registers change (the span is patched with an XOR
-        delta; when they fill it, it is written without the read). Indices
-        and values are all checked before the write, so a rejected call
-        leaves the tape unchanged.
+        Only the listed registers change; when they fill the span, it is
+        written without the read. Indices and values are all checked before
+        the write, so a rejected call leaves the tape unchanged.
         """
         span = indices if isinstance(indices, RegisterSpan) else self.span(indices)
-        if len(values) != len(span.shifts):
-            raise ValueError(f"{len(values)} values for {len(span.shifts)} registers")
-        if not values:
-            return
-        mask = self._mask
-        if min(values) < 0 or max(values) > mask:
-            bad = next(v for v in values if v < 0 or v > mask)
-            raise ValueError(f"value {bad} does not fit in {self.width} bits")
-        if span.full:
-            blob = 0
-            for pos, v in zip(span.shifts, values):
-                blob |= v << pos
-        else:
-            blob = self.tape.read_bits(span.offset, span.bits)
-            delta = 0
-            for pos, v in zip(span.shifts, values):
-                delta |= (((blob >> pos) & mask) ^ v) << pos
-            blob ^= delta
-        self.tape.write_bits(span.offset, span.bits, blob)
+        bits = span.pack(values, 0 if span.full else
+                         self.tape.read_bits(span.offset, span.bits))
+        if span.shifts:
+            self.tape.write_bits(span.offset, span.bits, bits)
 
     def span_values(self, span: RegisterSpan, blob: int) -> list[int]:
         """The listed registers' values, taken from the span's bits `blob`.
@@ -445,8 +460,7 @@ class RegisterFile:
         above q*d; only a failing call searches for it, so a valid span
         costs one `max`.
         """
-        mask = self._mask
-        values = [(blob >> pos) & mask for pos in span.shifts]
+        values = span.unpack(blob)
         if values and max(values) >= self._limit:
             for idx, value in zip(span.indices, values):
                 self._require_valid(idx, value)
@@ -477,11 +491,10 @@ class RegisterFile:
 
     def read_group(self, idx: int, group: int) -> int:
         """The `group`-th GROUP_BITS-wide slice of a register, LSB first."""
-        off = self._offset(idx) + group * GROUP_BITS
         gw = min(GROUP_BITS, self.width - group * GROUP_BITS)
-        if gw <= 0:
+        if group < 0 or gw <= 0:
             raise IndexError(f"group {group} outside register width {self.width}")
-        return self.tape.read_bits(off, gw)
+        return self.tape.read_bits(self._offset(idx) + group * GROUP_BITS, gw)
 
 
 def allocate_registers(

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import SinkVertexError, WalkCycleError
 from .graphs import GraphOracle, LayeredLiftView, with_sink_loops
 from .metrics import DriverRun, RunMetrics, StepCounter
-from .tape import CatalyticTape, RegisterFile, WorkspaceMeter, ceil_log2
+from .tape import CatalyticTape, RegisterFile, RegisterSpan, WorkspaceMeter, ceil_log2
 
 FWD = "fwd"
 REV = "rev"
@@ -54,47 +53,28 @@ def register_width(K: int) -> int:
 class WalkRegisters(RegisterFile):
     """One width-bit register per vertex, packed on the tape from `base`.
 
-    A register file with modulus 2**width. Hot loops run against a loaded
-    list of values; `flush` writes back the registers marked touched, so
-    the tape is authoritative at every API boundary. `load` keeps the bits
-    it read and `flush` patches them, so a load and a flush make one tape
-    read and one write; the registers must not be written otherwise
-    between the two.
+    A register file with modulus 2**width. Hot loops run against the
+    values `load` reads; `flush` writes them all back, one span each way,
+    so the tape is authoritative at every API boundary. A walk masks every
+    value it writes, so a register no walk moved is flushed as loaded.
     """
 
-    __slots__ = ("_loaded", "_marked")
+    __slots__ = ("_span", "_marked")
 
     def __init__(self, tape: CatalyticTape, base: int, count: int, width: int):
         super().__init__(tape, base, count, width, 1 << width)
-        self._loaded = None
+        # every register in order: a full span, inside the checked file
+        self._span = RegisterSpan(range(count), base, count * width,
+                                  range(0, count * width, width), True, width)
         self._marked = set()
 
     def load(self) -> list[int]:
-        """Every register's value, from one tape read that `flush` reuses."""
-        w, mask = self.width, self._mask
-        bits = self._loaded = self.tape.read_bits(self.base, self.count * w)
-        return [(bits >> pos) & mask for pos in range(0, self.count * w, w)]
+        """Every register's value, from one tape read."""
+        return self._span.unpack(self.tape.read_bits(self.base, self._span.bits))
 
     def flush(self, values: list[int]) -> None:
-        """Write the marked registers' values with one tape write.
-
-        Patches the bits of the last `load` (read afresh without one), so
-        only the marked registers change; their values are checked first.
-        """
-        if not self._marked:
-            return
-        w, mask = self.width, self._mask
-        bits = self._loaded
-        if bits is None:
-            bits = self.tape.read_bits(self.base, self.count * w)
-        self._loaded = None
-        delta = 0
-        for i in self._marked:
-            x = values[i]
-            if x < 0 or x > mask:
-                raise ValueError(f"value {x} does not fit in {w} bits")
-            delta |= (((bits >> (i * w)) & mask) ^ x) << (i * w)
-        self.tape.write_bits(self.base, self.count * w, bits ^ delta)
+        """Write every register with one tape write; values are checked first."""
+        self.tape.write_bits(self.base, self._span.bits, self._span.pack(values))
 
     def mark_touched(self, indices) -> None:
         self._marked.update(indices)
@@ -265,15 +245,15 @@ def estimate_dag(
     ) as run:
         values = regs.load()
         ends = _rotor_walks(g, s, FWD, K, values, width, counters, touched, run.steps)
-        # the reverse batch retraces the forward walks, whose registers are
-        # all marked already
+        # the reverse batch retraces the forward walks, so it touches no
+        # other register
         _rotor_walks(g, s, REV, K, values, width, None, None, run.steps)
-        regs.mark_touched(touched)
-        regs.flush(values)
+        if touched:
+            regs.flush(values)
     n_reach = ends.get(t, 0)
     if counters is not None:
         counters.n_reach = n_reach
-    metrics = run.metrics(regs.touched_bits, estimate=n_reach / K,
+    metrics = run.metrics(len(touched) * width, estimate=n_reach / K,
                           extra={"walks": K})
     return DagWalkResult(n_reach / K, n_reach, K, width, counters, metrics)
 
@@ -347,24 +327,21 @@ def rotor_widths(g: GraphOracle) -> list[int]:
 class RotorRegisters:
     """Variable-width rotors: vertex v stores a value in [outdeg(v)].
 
-    Spans are packed in vertex order with the widths of `rotor_widths` into
-    the one span [base, end), v's at `offsets[v]` bits in, so each method is
-    one tape read and/or write. A raw span is interpreted mod outdeg(v).
+    The rotors are one `RegisterSpan` of the widths of `rotor_widths`,
+    packed in vertex order into [base, end), so each method is one tape
+    read or write. A raw span is interpreted mod outdeg(v).
     """
 
     def __init__(self, tape: CatalyticTape, g: GraphOracle, base: int = 0):
         self.tape = tape
         self.g = g
-        self.base = base
         self.widths = rotor_widths(g)
-        self.offsets = list(accumulate(self.widths, initial=0))
-        self.end = base + self.offsets.pop()
-        tape._check_span(base, self.end - base)
+        self.span = RegisterSpan.packed(base, self.widths)
+        self.end = base + self.span.bits
+        tape._check_span(base, self.span.bits)
 
     def snapshot_spans(self) -> list[int]:
-        blob = self.tape.read_bits(self.base, self.end - self.base)
-        return [(blob >> off) & ((1 << w) - 1)
-                for off, w in zip(self.offsets, self.widths)]
+        return self.span.unpack(self.tape.read_bits(self.span.offset, self.span.bits))
 
     def load(self) -> list[int]:
         outdeg = self.g.outdeg
@@ -373,12 +350,7 @@ class RotorRegisters:
 
     def flush(self, values: list[int]) -> None:
         """Write every rotor with one tape write; values are checked first."""
-        blob = 0
-        for off, w, x in zip(self.offsets, self.widths, values, strict=True):
-            if x < 0 or x >> w:
-                raise ValueError(f"rotor value {x} does not fit in {w} bits")
-            blob |= x << off
-        self.tape.write_bits(self.base, self.end - self.base, blob)
+        self.tape.write_bits(self.span.offset, self.span.bits, self.span.pack(values))
 
     def restore_spans(self, snap: list[int]) -> None:
         self.flush(snap)

@@ -7,6 +7,7 @@ from catgraph.errors import GraphFormatError
 from catgraph.graphs import (
     AdjacencyGraph,
     DegreeReducedView,
+    GraphOracle,
     LayeredLiftView,
     SelfLoopView,
     SinkLoopsView,
@@ -258,6 +259,21 @@ def test_sink_loops_view_consistency():
                 assert v in view.out_neighbors(u)
             assert view.in_neighbors(v) == sorted(view.in_neighbors(v))
             assert view.indeg(v) == len(view.in_neighbors(v))
+
+
+def test_lift_edge_count_answers_from_its_base():
+    # T copies of the base's edges, none out of the last layer: the same
+    # count as summing the lift's out-degrees over all (T+1)*n vertices
+    rng = random.Random(19)
+    sinks = 0
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 8), p=rng.choice((0.1, 0.3)))
+        sinks += sum(g.outdeg(v) == 0 for v in range(g.n))
+        for base in (g, SinkLoopsView(g)):
+            for T in (0, 1, 3):
+                lift = LayeredLiftView(base, T)
+                assert lift.edge_count() == GraphOracle.edge_count(lift)
+    assert sinks > 0
 
 
 def test_out_neighbors_list_the_per_index_answers():

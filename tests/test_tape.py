@@ -14,6 +14,7 @@ from catgraph.connectivity import LayeredPushState, ParityProgram
 from catgraph.graphs import AdjacencyGraph
 from catgraph.tape import (
     CatalyticTape,
+    RegisterSpan,
     WorkspaceMeter,
     allocate_registers,
     bits_for,
@@ -588,6 +589,104 @@ def test_write_bits_rejects_a_bad_value_or_span_unchanged(span, rng, data):
     with pytest.raises(error):
         tape.write_bits(offset, width, value)
     assert tape.snapshot() == before
+
+
+@st.composite
+def _packed_layouts(draw):
+    """(tape, span, file) for a `RegisterSpan` over a random tape, with
+    1 to 70 bits per register at any offset. Either a file's span of one
+    width (`file` is the file) or a span of per-register widths cut from
+    `RegisterSpan.packed` (`file` is None); the listed registers are a
+    random subset in random order, all of them for a full span."""
+    count = draw(st.integers(1, 8), label="count")
+    if draw(st.booleans(), label="uniform"):
+        widths = [draw(st.integers(1, 70), label="width")] * count
+    else:
+        widths = draw(st.lists(st.integers(1, 70), min_size=count, max_size=count),
+                      label="widths")
+    offset = draw(st.integers(0, 15), label="offset")
+    order = draw(st.permutations(range(count)), label="order")
+    listed = tuple(order[:draw(st.integers(1, count), label="listed")])
+    tape = make_tape(offset + sum(widths) + draw(st.integers(0, 9)), "random",
+                     draw(st.integers(0, 3)))
+    if len(set(widths)) == 1 and draw(st.booleans(), label="as file"):
+        file = allocate_registers(tape, offset, count, widths[0], 2)
+        return tape, file.span(listed), file
+    whole = RegisterSpan.packed(offset, widths)
+    span = RegisterSpan(listed, offset, whole.bits, [whole.shifts[i] for i in listed],
+                        len(listed) == count, [widths[i] for i in listed])
+    return tape, span, None
+
+
+def _span_widths(span):
+    return [span.width] * len(span) if type(span.width) is int else span.width
+
+
+@given(_packed_layouts(), st.data())
+@settings(deadline=None, max_examples=300)
+def test_pack_and_unpack_match_a_bit_by_bit_reference(layout, data):
+    tape, span, file = layout
+    widths = _span_widths(span)
+    bits = _tape_bits(tape)
+    old = tape.read_bits(span.offset, span.bits)
+    assert span.unpack(old) == [
+        sum(bits[span.offset + pos + k] << k for k in range(w))
+        for pos, w in zip(span.shifts, widths)]
+    values = [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
+    for pos, w, v in zip(span.shifts, widths, values):
+        for k in range(w):
+            bits[span.offset + pos + k] = (v >> k) & 1
+    new = span.pack(values, old)
+    assert span.unpack(new) == values
+    if span.full:
+        assert span.pack(values) == new
+    if file is not None:
+        file.scatter(span, values)
+        assert file.gather(span) == values
+    else:
+        tape.write_bits(span.offset, span.bits, new)
+    # the listed registers hold their values; every other bit is unchanged
+    assert _tape_bits(tape) == bits
+
+
+@given(_packed_layouts(), st.data())
+@settings(deadline=None, max_examples=200)
+def test_pack_rejects_a_bad_value_or_count_unchanged(layout, data):
+    tape, span, file = layout
+    widths = _span_widths(span)
+    values = [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
+    j = data.draw(st.integers(0, len(values) - 1))
+    bad = data.draw(st.sampled_from(("negative", "too-wide", "too-few", "too-many")))
+    if bad == "negative":
+        values[j] = -data.draw(st.integers(1, 1 << 70))
+    elif bad == "too-wide":
+        values[j] += data.draw(st.integers(1, 1 << 70)) << widths[j]
+    elif bad == "too-few":
+        del values[j]
+    else:
+        values.append(0)
+    before = tape.snapshot()
+    with pytest.raises(ValueError):
+        span.pack(values, tape.read_bits(span.offset, span.bits))
+    if file is not None:
+        with pytest.raises(ValueError):
+            file.scatter(span, values)
+    assert tape.snapshot() == before
+
+
+def test_read_group_rejects_a_group_outside_the_register():
+    tape = make_tape(64, "random", seed=19)
+    file = allocate_registers(tape, 0, 2, 32, 1 << 32)
+    for idx in (0, 1):
+        value = file.read(idx)
+        assert [file.read_group(idx, g) for g in (0, 1)] == [value & 0xFFFF, value >> 16]
+        for group in (-2, -1, 2, 3):
+            with pytest.raises(IndexError):
+                file.read_group(idx, group)
+    narrow = allocate_registers(tape, 0, 3, 20, 2)  # a 4-bit last group
+    assert narrow.read_group(2, 1) == narrow.read(2) >> 16
+    with pytest.raises(IndexError):
+        narrow.read_group(2, 2)
 
 
 def test_profiles():

@@ -88,23 +88,30 @@ def test_walk_forward_then_reverse_restores():
         assert tape.digest() == before
 
 
-def test_walk_registers_flush_writes_only_marked_registers():
+def test_walk_registers_flush_changes_only_the_walked_registers():
+    # flush packs every loaded value back; the walks mask what they write,
+    # so a register no walk moved is written as it was loaded, and no bit
+    # outside the span changes
     rng = random.Random(12)
     for width in (1, 3, 7):
-        count = 11
-        tape = make_tape(5 + count * width + 9, "random", width)
-        regs = WalkRegisters(tape, 5, count, width)
+        g = random_dag(rng, 11)
+        tape = make_tape(5 + g.n * width + 9, "random", width)
+        regs = WalkRegisters(tape, 5, g.n, width)
         before = tape.read_bits(0, tape.nbits)
-        marked = set(rng.sample(range(count), 4))
-        values = [rng.randrange(1 << width) for _ in range(count)]
-        regs.mark_touched(marked)
+        values = regs.load()
+        touched = set()
+        _rotor_walks(g, g.n - 1, FWD, 4, values, width, None, touched, None)
+        _rotor_walks(g, 0, FWD, 3, values, width, None, touched, None)
+        assert 0 < len(touched) < g.n
         regs.flush(values)
         want = before
-        for i in marked:
+        for i in touched:
             off = 5 + i * width
             want = want & ~(((1 << width) - 1) << off) | values[i] << off
         assert tape.read_bits(0, tape.nbits) == want
-        assert regs.touched_bits == len(marked) * width
+        assert regs.load() == values
+        regs.mark_touched(touched)
+        assert regs.touched_bits == len(touched) * width
 
 
 def test_walk_cycle_guard():
@@ -270,7 +277,7 @@ def test_stationary_reads_its_rotor_span_once(restore):
 
 def test_estimate_dag_reads_and_writes_its_registers_once():
     # the walks touch some registers of the 40, with untouched ones between
-    # them: the write-back patches the bits `load` read, not a second read
+    # them: the write-back packs every loaded value, with no second read
     g = random_dag(random.Random(5), 40)
     t = next(v for v in range(g.n) if g.outdeg(v) == 0)
     tape = make_tape(dag_tape_bits(g, 0.05), "random", 1)
@@ -677,6 +684,25 @@ def test_rotor_registers_move_one_span_at_unaligned_base():
         assert tape.read_bits(0, tape.nbits) == after
         rot.restore_spans(raw)
         assert tape.read_bits(0, tape.nbits) == whole
+
+
+def test_rotor_registers_flush_rejects_bad_values_unchanged():
+    rng = random.Random(14)
+    for trial in range(6):
+        g = _mixed_width_graph(rng, trial)
+        base = 1 + trial
+        tape = make_tape(base + stationary_tape_bits(g) + 7, "random", trial)
+        rot = RotorRegisters(tape, g, base)
+        before = tape.snapshot()
+        values = [rng.randrange(1 << w) for w in rot.widths]
+        v = rng.randrange(g.n)
+        for bad in (-1, -(1 << 70), 1 << rot.widths[v], 1 << 70):
+            with pytest.raises(ValueError):
+                rot.flush(values[:v] + [bad] + values[v + 1:])
+        for wrong in (values[:-1], values + [0], []):
+            with pytest.raises(ValueError):
+                rot.flush(wrong)
+        assert tape.snapshot() == before
 
 
 def test_rotor_state_collision_demonstrates_information_loss():
