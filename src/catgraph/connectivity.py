@@ -71,11 +71,12 @@ class PausePoint(NamedTuple):
 class _PushProgram:
     """Add b at register s, push T phases over k banks; undo by the reverse.
 
-    Phase i pushes bank `banks[i % k]` into the destination span
-    `_dst[(i + 1) % k]`: the j-th destination gains the sum of the residues
-    of the bank's registers at the positions `_sources[j]`. With k = 2 this
-    is the parity program, with k = T + 1 the layered one. Register
-    `r * stride + v` belongs to vertex v in bank r.
+    Phase i pushes bank `banks[i % k]` into bank `banks[(i + 1) % k]`: the
+    register at position j of the next bank gains the sum of the residues
+    of the bank's registers at the positions `_sources[j]` (none for a
+    register with no in-neighbor). Every bank has the same layout. With
+    k = 2 this is the parity program, with k = T + 1 the layered one.
+    Register `r * stride + v` belongs to vertex v in bank r.
 
     The program's reversible state is three counts, each updated only after
     its tape write succeeds: `pushed` phases (always phases 0..pushed-1),
@@ -92,8 +93,8 @@ class _PushProgram:
     held bank equal to the tape. A bank's residues are built from its held
     bits, validated by `RegisterFile.span_values`, when a step first needs
     them; a shift or unshift of the bank, or `use_file` (a new modulus),
-    drops them. s is a register of bank 0, so the program writes its bank
-    registers and no others.
+    drops them. Every write is one bank's whole span or register s, which
+    is in bank 0, so the program changes its bank registers and no others.
 
     A subclass builds its spans once, from the file it is given; `use_file`
     moves the program to another file over the same registers, so a
@@ -103,31 +104,26 @@ class _PushProgram:
 
     def __init__(self, s: int, T: int, file: RegisterFile,
                  steps: StepCounter | None, banks: Sequence[RegisterSpan],
-                 dst: Sequence[RegisterSpan], sources: Sequence[Sequence[int]],
-                 stride: int, pause: Callable[[str], None] | None = None):
+                 sources: Sequence[Sequence[int]], stride: int,
+                 pause: Callable[[str], None] | None = None):
         self.s = s
         self.T = T
         self.file = file
         self.steps = steps or StepCounter()
         self.pause = pause
         self.banks = banks
-        self._dst = dst
         self._sources = sources
         self.stride = stride
         self.pushes_per_phase = sum(len(l) for l in sources)
-        # every bank has one layout: each destination's position in the
-        # bank, its bit position in the bank's span, and its sources
         bank = banks[0]
-        where = {idx: j for j, idx in enumerate(bank.indices)}
-        self._targets = [(where[idx], bank.shifts[where[idx]], srcs)
-                         for idx, srcs in zip(dst[0].indices, sources)]
-        # an empty destination span's offset need not lie inside the bank
-        self._dst_off = dst[0].offset - bank.offset if dst[0].bits else 0
-        self._dst_mask = (1 << dst[0].bits) - 1
-        if s not in where:
+        # the registers with sources: position in a bank, bit position in
+        # its span, and the sources
+        self._targets = [(j, pos, srcs) for j, (pos, srcs)
+                         in enumerate(zip(bank.shifts, sources)) if srcs]
+        if s not in bank.indices:
             raise ValueError(f"start vertex {s} has no register in bank 0")
         # s's position in bank 0 and its bit position in bank 0's span
-        self._s_at = where[s]
+        self._s_at = bank.indices.index(s)
         self._s_pos = bank.shifts[self._s_at]
         self.bank_registers = sum(len(b) for b in banks)
         self._bits = [None] * len(banks)
@@ -176,10 +172,10 @@ class _PushProgram:
     def layer_push(self, i: int, reverse: bool = False) -> None:
         """Apply phase i, or with `reverse` subtract the same sums again.
 
-        Each destination's residue change is added to the held bank bits at
-        its register's position (value = a*q + b and only b moves, so no
-        change leaves its lane). The destination span is written once, as a
-        slice of those bits, so registers without sources stay clean.
+        Each register's residue change is added to the next bank's held
+        bits at its position (value = a*q + b and only b moves, so no change
+        leaves its lane), and the bank is written whole from those bits: a
+        register without sources is written back as it was.
         """
         k = len(self.banks)
         r = (i + 1) % k
@@ -201,9 +197,8 @@ class _PushProgram:
             b = residues[j]
             nb = residues[j] = (b + sign * total) % q
             bits += (nb - b) << pos
-        dst = self._dst[r]
-        self.file.tape.write_bits(dst.offset, dst.bits,
-                                  (bits >> self._dst_off) & self._dst_mask)
+        bank = self.banks[r]
+        self.file.tape.write_bits(bank.offset, bank.bits, bits)
         held[r], self._bits[r] = residues, bits
         self.steps.n += self.pushes_per_phase
 
@@ -310,7 +305,7 @@ class _PushProgram:
         """Shift bank r from its held bits and hold the result; are its
         registers valid now? Its residues no longer hold."""
         valid, self._bits[r] = self.file.shift_indices(
-            self.banks[r], beta, self._bits[r])
+            self.banks[r], beta, self._span_bits(r))
         self._res[r] = None
         return valid
 
@@ -329,7 +324,7 @@ class ParityProgram(_PushProgram):
             raise ValueError("parity program needs exactly 2n registers")
         banks = (file.span(range(n)), file.span(range(n, 2 * n)))
         sources = [[v, *graph.in_neighbors(v)] for v in range(n)]
-        super().__init__(s, T, file, steps, banks, banks, sources, n)
+        super().__init__(s, T, file, steps, banks, sources, n)
 
 
 def st_nonzero_mod(
@@ -374,19 +369,14 @@ class LayeredPushState(_PushProgram):
         self.in_lists = {v: graph.in_neighbors(v) for v in ids}
         if any(u not in pos for l in self.in_lists.values() for u in l):
             raise ValueError("every in-neighbor of a relevant vertex must be relevant")
-        # per layer, the span of the relevant registers (the bank) and of
-        # those of them with in-neighbors (the destinations); sources are
-        # positions in the bank
-        dsts = [v for v in ids if self.in_lists[v]]
+        # per layer, the span of the relevant registers (the bank); sources
+        # are positions in the bank
         super().__init__(
             s, T, file, steps,
             [file.span([i * n + v for v in ids]) for i in range(T + 1)],
-            [file.span([i * n + v for v in dsts]) for i in range(T + 1)],
-            [[pos[u] for u in self.in_lists[v]] for v in dsts],
+            [[pos[u] for u in self.in_lists[v]] for v in ids],
             n, pause,
         )
-        # each destination's in-neighbors, as positions in a bank
-        self._in_pos = dict(zip(dsts, self._sources))
 
     def original_value(self, i: int, v: int) -> int:
         """Initial value of register (i, v) at the current pause point.
@@ -411,11 +401,11 @@ class LayeredPushState(_PushProgram):
         if i == 0:
             if v == self.s:
                 delta = self.b_applied
-        elif i <= self.pushed and v in self._in_pos:
+        elif i <= self.pushed and self._sources[at]:
             res = self._res[i - 1]
             if res is None:
                 res = self._hold(i - 1)[0]
-            for u in self._in_pos[v]:
+            for u in self._sources[at]:
                 delta += res[u]
         b = value % q
         value = value - b + (b - delta) % q

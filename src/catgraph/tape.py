@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from array import array
 from itertools import accumulate, repeat
-import warnings
 from typing import Sequence
 
 from .errors import (
@@ -150,27 +149,20 @@ class CatalyticTape:
 class WorkspaceMeter:
     """Tracks non-catalytic workspace bits: current usage and high-water mark."""
 
-    def __init__(self, budget: int | None = None, on_violation: str = "raise"):
-        if on_violation not in ("raise", "warn"):
-            raise ValueError("on_violation must be 'raise' or 'warn'")
+    def __init__(self, budget: int | None = None):
         self.bits_in_use = 0
         self.peak_bits = 0
         self.budget = budget
-        self.on_violation = on_violation
-        self.violations = 0
 
     def charge(self, bits: int) -> None:
         if bits < 0:
             raise ValueError("cannot charge negative bits")
         in_use = self.bits_in_use + bits
         if self.budget is not None and in_use > self.budget:
-            self.violations += 1
-            msg = f"workspace budget exceeded: {in_use} > {self.budget} bits"
-            if self.on_violation == "raise":
-                # a rejected charge was never in use, so the caller has
-                # nothing to release for it
-                raise BudgetExceededError(msg)
-            warnings.warn(msg)
+            # a rejected charge was never in use, so the caller has nothing
+            # to release for it
+            raise BudgetExceededError(
+                f"workspace budget exceeded: {in_use} > {self.budget} bits")
         self.bits_in_use = in_use
         if in_use > self.peak_bits:
             self.peak_bits = in_use
@@ -213,26 +205,25 @@ class RegisterSpan:
 
     `offset` and `bits` locate the span; `indices` lists the registers in
     the caller's order, `shifts` each one's bit position in the span and
-    `width` their common width or a list of each one's; `full` says whether
-    they fill the span. `unpack` and `pack` are the one place that turns
-    span bits into register values and back. `packed` builds a span of
-    per-register widths. `RegisterFile.span` builds and checks a file's
-    spans (`shifts` an array: no int object per register); `gather`,
-    `scatter`, `span_values` and `shift_indices` take them unchecked, and a
+    `width` their common width or a list of each one's. Registers between
+    the listed ones may lie in the span unlisted. `unpack` and `pack` are
+    the one place that turns span bits into register values and back.
+    `packed` builds a span of per-register widths. `RegisterFile.span`
+    builds and checks a file's spans (`shifts` an array: no int object per
+    register); `span_values` and `shift_indices` take them unchecked, and a
     span serves every file of the same base and width. `lanes` is None
     until the span is first shifted; then it holds the masks of the
     lane-wise add (see `RegisterFile.shift_indices`).
     """
 
-    __slots__ = ("indices", "offset", "bits", "shifts", "full", "width", "lanes")
+    __slots__ = ("indices", "offset", "bits", "shifts", "width", "lanes")
 
     def __init__(self, indices: Sequence[int], offset: int, bits: int,
-                 shifts: Sequence[int], full: bool, width: int | list[int]):
+                 shifts: Sequence[int], width: int | list[int]):
         self.indices = indices
         self.offset = offset
         self.bits = bits
         self.shifts = shifts
-        self.full = full
         self.width = width
         self.lanes = None
 
@@ -240,7 +231,7 @@ class RegisterSpan:
     def packed(cls, offset: int, widths: list[int]) -> "RegisterSpan":
         """Registers 0, 1, ... of the given widths, end to end from `offset`."""
         shifts = list(accumulate(widths, initial=0))
-        return cls(range(len(widths)), offset, shifts.pop(), shifts, True, widths)
+        return cls(range(len(widths)), offset, shifts.pop(), shifts, widths)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -256,26 +247,22 @@ class RegisterSpan:
             return [(bits >> pos) & mask for pos in self.shifts]
         return [(bits >> pos) & ((1 << x) - 1) for pos, x in zip(self.shifts, w)]
 
-    def pack(self, values: Sequence[int], bits: int = 0) -> int:
-        """`bits`, the span's bits, with the listed registers set to `values`.
+    def pack(self, values: Sequence[int]) -> int:
+        """Span bits holding `values` in the listed registers, 0 elsewhere.
 
         Raises ValueError for a count other than the span's or a value that
-        does not fit its register. Unlisted registers keep their bits from
-        `bits`, so a span the registers fill needs none.
+        does not fit its register.
         """
         shifts, w = self.shifts, self.width
         if len(values) != len(shifts):
             raise ValueError(f"{len(values)} values for {len(shifts)} registers")
-        new = 0
+        bits = 0
         # v >> x is nonzero exactly when v is negative or too wide
         for pos, x, v in zip(shifts, repeat(w) if type(w) is int else w, values):
             if v >> x:
                 raise ValueError(f"value {v} does not fit in {x} bits")
-            new |= v << pos
-        if self.full or not bits:
-            return new
-        # XOR the listed registers' old bits out of `bits` and the new ones in
-        return bits ^ self.pack(self.unpack(bits)) ^ new
+            bits |= v << pos
+        return bits
 
 
 class RegisterFile:
@@ -370,27 +357,27 @@ class RegisterFile:
 
     def shift_all(self, beta: int) -> bool:
         """Add beta mod 2**width to every register; inverse is 2**width - beta."""
-        return self.shift_indices(range(self.count), beta)[0]
+        span = self.span(range(self.count))
+        bits = self.tape.read_bits(span.offset, span.bits)
+        return self.shift_indices(span, beta, bits)[0]
 
-    def shift_indices(self, indices: Sequence[int] | RegisterSpan, beta: int,
-                      bits: int | None = None) -> tuple[bool, int]:
-        """Add beta mod 2**width to the listed registers.
+    def shift_indices(self, span: RegisterSpan, beta: int,
+                      bits: int) -> tuple[bool, int]:
+        """Add beta mod 2**width to the span's listed registers.
 
-        Returns whether they are all valid now, and the span's new tape
-        bits. `bits`, when given, must be the span's current tape bits; the
-        shift then starts from them instead of reading the tape.
+        `bits` are the span's current tape bits. Returns whether the listed
+        registers are all valid now, and the span's new tape bits.
 
         The span is shifted lane-wise, one register per w-bit lane, with one
-        tape read (none when given `bits`) and one write. With H the top bit
-        of every lane, L the other bits, and B holding beta in each listed
-        lane (0 elsewhere), the new span is ((x & L) + (B & L)) ^ ((x ^ B) & H):
-        no carry crosses a lane and unlisted lanes come back unchanged.
-        Validity is the same add of 2**width - q*d: a lane carries out of
-        its top bit exactly when it holds q*d or more.
+        tape write and no read. With H the top bit of every lane, L the
+        other bits, and B holding beta in each listed lane (0 elsewhere),
+        the new span is ((x & L) + (B & L)) ^ ((x ^ B) & H): no carry
+        crosses a lane and unlisted lanes come back unchanged. Validity is
+        the same add of 2**width - q*d: a lane carries out of its top bit
+        exactly when it holds q*d or more.
         """
         if not 0 <= beta < (1 << self.width):
             raise ValueError("shift must be in [0, 2**width)")
-        span = indices if isinstance(indices, RegisterSpan) else self.span(indices)
         if not span.shifts:
             return True, 0
         if span.lanes is None:
@@ -399,9 +386,8 @@ class RegisterFile:
             high = ((1 << span.bits) - 1) // self._mask << (self.width - 1)
             span.lanes = (ones, high, ((1 << span.bits) - 1) ^ high)
         ones, high, low = span.lanes
-        old = self.tape.read_bits(span.offset, span.bits) if bits is None else bits
         b = beta * ones
-        new = ((old & low) + (b & low)) ^ ((old ^ b) & high)
+        new = ((bits & low) + (b & low)) ^ ((bits ^ b) & high)
         self.tape.write_bits(span.offset, span.bits, new)
         c = ((1 << self.width) - self._limit) * ones
         s = ((new & low) + (c & low)) ^ ((new ^ c) & high)
@@ -415,7 +401,7 @@ class RegisterFile:
         """
         indices = tuple(indices)
         if not indices:
-            return RegisterSpan((), self.base, 0, array("q"), True, self.width)
+            return RegisterSpan((), self.base, 0, array("q"), self.width)
         lo, hi = min(indices), max(indices)
         if lo < 0 or hi >= self.count:
             bad = lo if lo < 0 else hi
@@ -425,33 +411,8 @@ class RegisterFile:
         w = self.width
         return RegisterSpan(
             indices, self.base + lo * w, (hi - lo + 1) * w,
-            array("q", [(i - lo) * w for i in indices]), hi - lo + 1 == len(indices), w,
+            array("q", [(i - lo) * w for i in indices]), w,
         )
-
-    def gather(self, indices: Sequence[int] | RegisterSpan) -> list[int]:
-        """Values of the listed registers via one tape read over their span.
-
-        The span runs from the lowest to the highest index, so callers keep
-        the indices close together (one layer of a layered file).
-        """
-        span = indices if isinstance(indices, RegisterSpan) else self.span(indices)
-        if not span.shifts:
-            return []
-        return span.unpack(self.tape.read_bits(span.offset, span.bits))
-
-    def scatter(self, indices: Sequence[int] | RegisterSpan,
-                values: Sequence[int]) -> None:
-        """Write the listed registers via one read and one write of their span.
-
-        Only the listed registers change; when they fill the span, it is
-        written without the read. Indices and values are all checked before
-        the write, so a rejected call leaves the tape unchanged.
-        """
-        span = indices if isinstance(indices, RegisterSpan) else self.span(indices)
-        bits = span.pack(values, 0 if span.full else
-                         self.tape.read_bits(span.offset, span.bits))
-        if span.shifts:
-            self.tape.write_bits(span.offset, span.bits, bits)
 
     def span_values(self, span: RegisterSpan, blob: int) -> list[int]:
         """The listed registers' values, taken from the span's bits `blob`.
@@ -468,10 +429,14 @@ class RegisterFile:
 
     def read_block(self, start: int, count: int) -> list[int]:
         """Values of registers start..start+count-1 via one tape read."""
-        return self.gather(range(start, start + count))
+        span = self.span(range(start, start + count))
+        return span.unpack(self.tape.read_bits(span.offset, span.bits))
 
     def write_block(self, start: int, values: Sequence[int]) -> None:
-        self.scatter(range(start, start + len(values)), values)
+        """Registers start.. set to `values` via one tape write; the
+        indices and values are all checked before it."""
+        span = self.span(range(start, start + len(values)))
+        self.tape.write_bits(span.offset, span.bits, span.pack(values))
 
     def residues_block(self, start: int, count: int) -> list[int]:
         """Residues of a contiguous block; validates every register in it."""

@@ -65,7 +65,7 @@ class WalkRegisters(RegisterFile):
         super().__init__(tape, base, count, width, 1 << width)
         # every register in order: a full span, inside the checked file
         self._span = RegisterSpan(range(count), base, count * width,
-                                  range(0, count * width, width), True, width)
+                                  range(0, count * width, width), width)
         self._marked = set()
 
     def load(self) -> list[int]:

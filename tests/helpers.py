@@ -173,13 +173,13 @@ def reference_stationary(g, v_star, mix_time, delta, tape, *, start=0,
                 tape_restored=tape.snapshot() == before)
 
 def reference_layer_push(prog, i: int, reverse: bool = False) -> None:
-    """The push kernel that reads both of a phase's spans from the tape:
-    the source bank and the destination span, each with one `read_bits`
-    validated by `span_values`, then one `write_bits` of the destination
-    span. Kept as the reference for the kernel that holds each bank across
-    a run."""
+    """The push kernel that reads both of a phase's banks from the tape:
+    the source bank and the next bank, each with one `read_bits`
+    validated by `span_values`, then one `write_bits` of the next bank.
+    Kept as the reference for the kernel that holds each bank across a
+    run."""
     file, k = prog.file, len(prog.banks)
-    bank, dst = prog.banks[i % k], prog._dst[(i + 1) % k]
+    bank, dst = prog.banks[i % k], prog.banks[(i + 1) % k]
     q = file.modulus
     read = file.tape.read_bits
     res = [val % q for val in file.span_values(bank, read(bank.offset, bank.bits))]

@@ -309,7 +309,7 @@ def test_held_banks_match_the_two_read_kernel(layered):
             if residues is not None:
                 assert bits is not None
                 q = file.modulus
-                assert residues == [v % q for v in file.gather(bank)]
+                assert residues == [v % q for v in bank.unpack(bits)]
 
     for trial in range(36):
         q = (rng.randint(2, 9), rng.randrange(11, 5001, 2),
@@ -1059,6 +1059,63 @@ def test_catalytic_bits_are_the_registers_written(monkeypatch):
     assert verdicts == {"path", "no-path", "abort"}
 
 
+def test_every_program_write_is_a_whole_bank_or_register_s(monkeypatch):
+    # over whole extractions and shifted rounds, a phase writes the next
+    # bank whole (registers without sources too), a shift or unshift one
+    # bank, and the start increment and decrement register s alone
+    programs, writes = [], []
+    init, write_bits = _PushProgram.__init__, CatalyticTape.write_bits
+
+    def capturing_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        programs.append(self)
+
+    def recording_write_bits(self, offset, width, value):
+        writes.append((offset, width))
+        write_bits(self, offset, width, value)
+
+    monkeypatch.setattr(_PushProgram, "__init__", capturing_init)
+    monkeypatch.setattr(CatalyticTape, "write_bits", recording_write_bits)
+
+    def check(run):
+        """The bank spans and the write ranges of `run`'s one program."""
+        programs.clear()
+        writes.clear()
+        run()
+        (prog,) = programs
+        file = prog.file
+        banks = {(bank.offset, bank.bits) for bank in prog.banks}
+        assert writes
+        assert set(writes) <= banks | {(file.base + prog.s * file.width, file.width)}
+        return banks, set(writes)
+
+    # the path 0->1->2: vertex 0 has no in-neighbor, and each phase still
+    # writes all three registers of the next layer
+    g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
+    tape, file = layered_file(g, 2, 7)
+    w = file.width
+    _, written = check(lambda: st_count_mod(LayeredPushState(g, 0, 2, file), 2))
+    assert written == {(0, w), (3 * w, 3 * w), (6 * w, 3 * w)}
+    rng = random.Random(31)
+    for trial in range(12):
+        g = random_graph(rng, rng.randint(2, 6), p=rng.choice((0.2, 0.4)))
+        s, t = rng.sample(range(g.n), 2)
+        T = rng.randint(1, 4)
+        q = rng.choice((7, 1 << 20))  # streaming and grouped extraction
+        profile = TAPE_PROFILES[trial % 3]
+        tape, file = layered_file(g, T, q, profile, trial)
+        check(lambda: st_count_mod(LayeredPushState(g, s, T, file), t))
+        tape, file = parity_file(g, q, profile, trial)
+        check(lambda: st_nonzero_mod(ParityProgram(g, s, T, file), t))
+        # the randomized drivers shift every bank, then extract while shifted
+        for driver, bits in ((connect_rand, connect_rand_tape_bits(g.n)),
+                             (connect_revertible, connect_revertible_tape_bits(g))):
+            tape = make_tape(bits, profile, trial)
+            banks, written = check(lambda: driver(g, s, t, seed=trial, kappa=1.0,
+                                                  tape=tape))
+            assert banks <= written
+
+
 def test_held_queries_match_the_tape_reading_reference(monkeypatch):
     # random revertible calls on all three tape profiles, some aborting at
     # the first shift and some cut by a tape-write fault: at every pause
@@ -1196,7 +1253,7 @@ def _fault_sweep_cases():
 
 @pytest.mark.parametrize("driver, target", _fault_sweep_cases())
 def test_fault_at_every_write_and_charge_restores_tape(driver, target):
-    # every register write (write_block, scatter, write) is one tape write,
+    # every register write (write_block, write) is one tape write,
     # so raising at the k-th tape write, for every k, covers all of them
     bits, run = driver
     tape = make_tape(bits, "random", 1)

@@ -280,27 +280,32 @@ def _tape_bits(tape):
     return [tape.read_bit(b) for b in range(tape.nbits)]
 
 
-def test_gather_scatter_round_trip_against_scalar_ops():
+def test_span_unpack_and_pack_match_scalar_ops():
     rng = random.Random(12)
     for width in range(1, 71):
         base = rng.randrange(1, 8) + 8 * rng.randrange(3)  # never byte-aligned
         count = rng.randint(1, 12)
         tape = make_tape(base + count * width + rng.randrange(9), "random", width)
         file = allocate_registers(tape, base, count, width, 2)
-        # any order; half of the lists fill their span
+        # any order; at odd widths the listed registers fill their span
         idx = rng.sample(range(count), count if width % 2 else rng.randint(1, count))
-        assert file.gather(idx) == [file.read(i) for i in idx]
+        span = file.span(idx)
+        assert span.unpack(tape.read_bits(span.offset, span.bits)) == [
+            file.read(i) for i in idx]
         values = [rng.getrandbits(width) for _ in idx]
-        shadow = CatalyticTape(tape.nbits, bytearray(tape.snapshot()))
-        sfile = allocate_registers(shadow, base, count, width, 2)
-        file.scatter(idx, values)
-        for i, v in zip(idx, values):
-            sfile.write(i, v)
-        assert tape.snapshot() == shadow.snapshot(), width
-        assert file.gather(idx) == values
+        bits = span.pack(values)
+        assert span.unpack(bits) == values
+        if width % 2:
+            # a full span's bits, written whole, set each register
+            shadow = CatalyticTape(tape.nbits, bytearray(tape.snapshot()))
+            sfile = allocate_registers(shadow, base, count, width, 2)
+            tape.write_bits(span.offset, span.bits, bits)
+            for i, v in zip(idx, values):
+                sfile.write(i, v)
+            assert tape.snapshot() == shadow.snapshot(), width
 
 
-def test_scatter_changes_only_listed_registers():
+def test_write_block_changes_only_its_registers():
     rng = random.Random(13)
     for trial in range(40):
         width = rng.randint(1, 70)
@@ -308,46 +313,46 @@ def test_scatter_changes_only_listed_registers():
         count = rng.randint(2, 10)
         tape = make_tape(base + count * width + 40, "random", trial)
         file = allocate_registers(tape, base, count, width, 2)
-        idx = sorted(rng.sample(range(count), rng.randint(1, count - 1)))
+        start = rng.randrange(count)
+        values = [rng.getrandbits(width) for _ in range(rng.randint(1, count - start))]
         old = _tape_bits(tape)
-        file.scatter(idx, [rng.getrandbits(width) for _ in idx])
+        file.write_block(start, values)
         new = _tape_bits(tape)
-        listed = {b for i in idx for b in range(base + i * width, base + (i + 1) * width)}
-        assert all(old[b] == new[b] for b in range(tape.nbits) if b not in listed)
+        block = range(base + start * width, base + (start + len(values)) * width)
+        assert all(old[b] == new[b] for b in range(tape.nbits) if b not in block)
+        assert file.read_block(start, len(values)) == values
 
 
 def test_shift_indices_changes_only_listed_registers():
     tape = make_tape(60, "random", seed=14)
     file = allocate_registers(tape, 3, 11, 5, 7)
     values = [file.read(i) for i in range(11)]
-    file.shift_indices([7, 2, 9], 6)
+    span = file.span([7, 2, 9])
+    file.shift_indices(span, 6, tape.read_bits(span.offset, span.bits))
     assert [file.read(i) for i in range(11)] == [
         (v + 6) % 32 if i in (2, 7, 9) else v for i, v in enumerate(values)
     ]
 
 
-def test_gather_scatter_reject_bad_input_without_writing():
+def test_block_ops_reject_bad_input_without_writing():
     tape = make_tape(100, "random", seed=15)
     file = allocate_registers(tape, 5, 9, 10, 1000)
     before = tape.snapshot()
-    for bad in ([0, 9], [-1, 3]):
+    for start in (8, -1):  # a block past the last register or before the first
         with pytest.raises(IndexError):
-            file.gather(bad)
+            file.read_block(start, 2)
         with pytest.raises(IndexError):
-            file.scatter(bad, [1, 2])
+            file.write_block(start, [1, 2])
     with pytest.raises(ValueError):
-        file.scatter([1, 4, 6], [5, 1 << 10, 7])  # over-wide value last but one
+        file.write_block(1, [5, 1 << 10, 7])  # over-wide value last but one
     with pytest.raises(ValueError):
-        file.scatter([1, 4], [-1, 7])
+        file.write_block(1, [-1, 7])
+    span = file.span([1, 2])
     with pytest.raises(ValueError):
-        file.scatter([3, 3], [1, 2])
-    with pytest.raises(ValueError):
-        file.scatter([1, 2], [1])
-    with pytest.raises(ValueError):
-        file.shift_indices([1, 2], 1 << 10)
+        file.shift_indices(span, 1 << 10, tape.read_bits(span.offset, span.bits))
     assert tape.snapshot() == before
-    assert file.gather([]) == []
-    file.scatter([], [])
+    assert file.read_block(3, 0) == []
+    file.write_block(3, [])
     assert tape.snapshot() == before
 
 
@@ -362,32 +367,9 @@ def test_span_rejects_bad_indices_when_built():
             file.span(bad)
     span = file.span([7, 2, 4])
     assert len(span) == 3 and list(span) == [7, 2, 4]
-    assert (span.offset, span.bits, list(span.shifts), span.full) == (25, 60, [50, 0, 20], False)
-    assert file.span(range(3, 6)).full
-
-
-def test_span_ops_match_list_ops():
-    rng = random.Random(17)
-    for width in range(1, 71):
-        base = rng.randrange(1, 8) + 8 * rng.randrange(3)  # never byte-aligned
-        count = rng.randint(1, 12)
-        nbits = base + count * width + rng.randrange(9)
-        # any order; half of the lists fill their span
-        idx = rng.sample(range(count), count if width % 2 else rng.randint(1, count))
-        values = [rng.getrandbits(width) for _ in idx]
-        beta = rng.getrandbits(width)
-        files = [allocate_registers(make_tape(nbits, "random", width), base, count,
-                                    width, 2) for _ in range(2)]
-        by_list, by_span = files
-        span = by_span.span(idx)
-        assert by_span.gather(span) == by_list.gather(idx), width
-        by_list.scatter(idx, values)
-        by_span.scatter(span, values)
-        assert by_span.tape.snapshot() == by_list.tape.snapshot(), width
-        by_list.shift_indices(idx, beta)
-        by_span.shift_indices(span, beta)
-        assert by_span.tape.snapshot() == by_list.tape.snapshot(), width
-        assert by_span.gather(span) == [(v + beta) % (1 << width) for v in values]
+    assert (span.offset, span.bits, list(span.shifts)) == (25, 60, [50, 0, 20])
+    span = file.span(range(3, 6))
+    assert (span.offset, span.bits, list(span.shifts)) == (35, 30, [0, 10, 20])
 
 
 @given(st.data())
@@ -417,12 +399,13 @@ def test_lane_wise_shift_matches_per_register_add(data):
     sfile = allocate_registers(shadow, base, count, width, q)
     for i in idx:
         sfile.write(i, (values[i] + beta) & mask)
-    span = file.span(idx) if data.draw(st.booleans(), label="as span") else idx
-    valid, _ = file.shift_indices(span, beta)
+    span = file.span(idx)
+    valid, bits = file.shift_indices(span, beta, tape.read_bits(span.offset, span.bits))
     # every bit outside the listed registers is unchanged
     assert tape.snapshot() == shadow.snapshot()
+    assert bits == tape.read_bits(span.offset, span.bits)
     assert valid == (max((values[i] + beta) & mask for i in idx) < file._limit)
-    file.shift_indices(span, ((1 << width) - beta) & mask)
+    file.shift_indices(span, ((1 << width) - beta) & mask, bits)
     assert tape.snapshot() == before
 
 
@@ -432,11 +415,10 @@ def test_empty_span():
     before = tape.snapshot()
     span = file.span([])
     assert len(span) == 0 and list(span) == []
-    assert file.gather(span) == []
-    file.scatter(span, [])
-    file.shift_indices(span, 3)
+    assert (span.bits, span.unpack(0), span.pack([])) == (0, [], 0)
+    assert file.shift_indices(span, 3, 0) == (True, 0)
     with pytest.raises(ValueError):
-        file.scatter(span, [1])
+        span.pack([1])
     assert tape.snapshot() == before
 
 
@@ -485,10 +467,6 @@ def test_meter_budget_violation():
     meter = WorkspaceMeter(budget=100)
     with pytest.raises(BudgetExceededError):
         meter.charge(128)
-    logged = WorkspaceMeter(budget=100, on_violation="warn")
-    with pytest.warns(UserWarning):
-        logged.charge(128)
-    assert logged.violations == 1
 
 
 def test_meter_over_release():
@@ -593,11 +571,11 @@ def test_write_bits_rejects_a_bad_value_or_span_unchanged(span, rng, data):
 
 @st.composite
 def _packed_layouts(draw):
-    """(tape, span, file) for a `RegisterSpan` over a random tape, with
-    1 to 70 bits per register at any offset. Either a file's span of one
-    width (`file` is the file) or a span of per-register widths cut from
-    `RegisterSpan.packed` (`file` is None); the listed registers are a
-    random subset in random order, all of them for a full span."""
+    """(tape, span) for a `RegisterSpan` over a random tape, with 1 to 70
+    bits per register at any offset. Either a file's span of one width or
+    a span of per-register widths cut from `RegisterSpan.packed`; the
+    listed registers are a random subset in random order, all of them for
+    a full span."""
     count = draw(st.integers(1, 8), label="count")
     if draw(st.booleans(), label="uniform"):
         widths = [draw(st.integers(1, 70), label="width")] * count
@@ -611,11 +589,11 @@ def _packed_layouts(draw):
                      draw(st.integers(0, 3)))
     if len(set(widths)) == 1 and draw(st.booleans(), label="as file"):
         file = allocate_registers(tape, offset, count, widths[0], 2)
-        return tape, file.span(listed), file
+        return tape, file.span(listed)
     whole = RegisterSpan.packed(offset, widths)
     span = RegisterSpan(listed, offset, whole.bits, [whole.shifts[i] for i in listed],
-                        len(listed) == count, [widths[i] for i in listed])
-    return tape, span, None
+                        [widths[i] for i in listed])
+    return tape, span
 
 
 def _span_widths(span):
@@ -625,7 +603,7 @@ def _span_widths(span):
 @given(_packed_layouts(), st.data())
 @settings(deadline=None, max_examples=300)
 def test_pack_and_unpack_match_a_bit_by_bit_reference(layout, data):
-    tape, span, file = layout
+    tape, span = layout
     widths = _span_widths(span)
     bits = _tape_bits(tape)
     old = tape.read_bits(span.offset, span.bits)
@@ -633,26 +611,26 @@ def test_pack_and_unpack_match_a_bit_by_bit_reference(layout, data):
         sum(bits[span.offset + pos + k] << k for k in range(w))
         for pos, w in zip(span.shifts, widths)]
     values = [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
+    # the listed registers hold their values; every other bit of the span is 0
+    packed = [0] * span.bits
     for pos, w, v in zip(span.shifts, widths, values):
         for k in range(w):
-            bits[span.offset + pos + k] = (v >> k) & 1
-    new = span.pack(values, old)
+            packed[pos + k] = (v >> k) & 1
+    new = span.pack(values)
+    assert new == sum(b << k for k, b in enumerate(packed))
     assert span.unpack(new) == values
-    if span.full:
-        assert span.pack(values) == new
-    if file is not None:
-        file.scatter(span, values)
-        assert file.gather(span) == values
-    else:
+    if sum(widths) == span.bits:
+        # the registers fill the span: one write sets them all and no
+        # other bit of the tape
         tape.write_bits(span.offset, span.bits, new)
-    # the listed registers hold their values; every other bit is unchanged
-    assert _tape_bits(tape) == bits
+        bits[span.offset:span.offset + span.bits] = packed
+        assert _tape_bits(tape) == bits
 
 
 @given(_packed_layouts(), st.data())
 @settings(deadline=None, max_examples=200)
 def test_pack_rejects_a_bad_value_or_count_unchanged(layout, data):
-    tape, span, file = layout
+    _, span = layout
     widths = _span_widths(span)
     values = [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
     j = data.draw(st.integers(0, len(values) - 1))
@@ -665,13 +643,8 @@ def test_pack_rejects_a_bad_value_or_count_unchanged(layout, data):
         del values[j]
     else:
         values.append(0)
-    before = tape.snapshot()
     with pytest.raises(ValueError):
-        span.pack(values, tape.read_bits(span.offset, span.bits))
-    if file is not None:
-        with pytest.raises(ValueError):
-            file.scatter(span, values)
-    assert tape.snapshot() == before
+        span.pack(values)
 
 
 def test_read_group_rejects_a_group_outside_the_register():
