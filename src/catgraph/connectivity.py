@@ -116,10 +116,8 @@ class _PushProgram:
         self.stride = stride
         self.pushes_per_phase = sum(len(l) for l in sources)
         bank = banks[0]
-        # the registers with sources: position in a bank, bit position in
-        # its span, and the sources
-        self._targets = [(j, pos, srcs) for j, (pos, srcs)
-                         in enumerate(zip(bank.shifts, sources)) if srcs]
+        # the registers with sources: position in a bank and the sources
+        self._targets = [(j, srcs) for j, srcs in enumerate(sources) if srcs]
         if s not in bank.indices:
             raise ValueError(f"start vertex {s} has no register in bank 0")
         # s's position in bank 0 and its bit position in bank 0's span
@@ -128,6 +126,7 @@ class _PushProgram:
         self.bank_registers = sum(len(b) for b in banks)
         self._bits = [None] * len(banks)
         self._res = [None] * len(banks)
+        self._high = [None] * len(banks)
         self.pushed = 0
         self.b_applied = 0
         self.shifted = 0
@@ -144,13 +143,16 @@ class _PushProgram:
 
     def _hold(self, r: int) -> tuple[list[int], int]:
         """Bank r's residues and span bits; `span_values` validates the
-        residues when they are built (held residues imply held bits)."""
+        residues when they are built, and the high part is built with them
+        (held residues imply held bits and a held high part)."""
         res, bits = self._res[r], self._bits[r]
         if res is None:
             bits = self._span_bits(r)
             q = self.file.modulus
+            bank = self.banks[r]
             res = self._res[r] = [
-                v % q for v in self.file.span_values(self.banks[r], bits)]
+                v % q for v in self.file.span_values(bank, bits)]
+            self._high[r] = bits - bank.pack_lanes(res)
         return res, bits
 
     @property
@@ -167,15 +169,18 @@ class _PushProgram:
                 "a program's new file must keep its tape, base, width and count"
             )
         self._res = [None] * len(self.banks)
+        self._high = [None] * len(self.banks)
         self.file = file
 
     def layer_push(self, i: int, reverse: bool = False) -> None:
         """Apply phase i, or with `reverse` subtract the same sums again.
 
-        Each register's residue change is added to the next bank's held
-        bits at its position (value = a*q + b and only b moves, so no change
-        leaves its lane), and the bank is written whole from those bits: a
-        register without sources is written back as it was.
+        The next bank's new residues are computed on small integers alone:
+        each register with sources becomes (old residue +- the sum of its
+        sources' residues) mod q. The bank's new bits are its held high
+        part plus one `pack_lanes` of the new residues (value = a*q + b and
+        only b moves), written whole: a register without sources is
+        written back as it was.
         """
         k = len(self.banks)
         r = (i + 1) % k
@@ -187,17 +192,22 @@ class _PushProgram:
         if residues is None:
             residues = self._hold(r)[0]
         residues = residues.copy()
-        bits = self._bits[r]
         q = self.file.modulus
-        sign = -1 if reverse else 1
-        for j, pos, srcs in self._targets:
-            total = 0
-            for u in srcs:
-                total += res[u]
-            b = residues[j]
-            nb = residues[j] = (b + sign * total) % q
-            bits += (nb - b) << pos
+        # one loop per direction: no sign multiply or negated copy per phase
+        if reverse:
+            for j, srcs in self._targets:
+                total = residues[j]
+                for u in srcs:
+                    total -= res[u]
+                residues[j] = total % q
+        else:
+            for j, srcs in self._targets:
+                total = residues[j]
+                for u in srcs:
+                    total += res[u]
+                residues[j] = total % q
         bank = self.banks[r]
+        bits = self._high[r] + bank.pack_lanes(residues)
         self.file.tape.write_bits(bank.offset, bank.bits, bits)
         held[r], self._bits[r] = residues, bits
         self.steps.n += self.pushes_per_phase
@@ -303,10 +313,10 @@ class _PushProgram:
 
     def _shift_bank(self, r: int, beta: int) -> bool:
         """Shift bank r from its held bits and hold the result; are its
-        registers valid now? Its residues no longer hold."""
+        registers valid now? Its residues and high part no longer hold."""
         valid, self._bits[r] = self.file.shift_indices(
             self.banks[r], beta, self._span_bits(r))
-        self._res[r] = None
+        self._res[r] = self._high[r] = None
         return valid
 
 

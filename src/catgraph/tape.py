@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from itertools import accumulate, repeat
+from itertools import accumulate
+from operator import lshift, rshift
 from typing import Sequence
 
 from .errors import (
@@ -206,8 +207,9 @@ class RegisterSpan:
     `offset` and `bits` locate the span; `indices` lists the registers in
     the caller's order, `shifts` each one's bit position in the span and
     `width` their common width or a list of each one's. Registers between
-    the listed ones may lie in the span unlisted. `unpack` and `pack` are
-    the one place that turns span bits into register values and back.
+    the listed ones may lie in the span unlisted. `unpack` and `pack` (or
+    its unchecked core `pack_lanes`) are the one place that turns span
+    bits into register values and back.
     `packed` builds a span of per-register widths. `RegisterFile.span`
     builds and checks a file's spans (`shifts` an array: no int object per
     register); `span_values` and `shift_indices` take them unchecked, and a
@@ -251,18 +253,23 @@ class RegisterSpan:
         """Span bits holding `values` in the listed registers, 0 elsewhere.
 
         Raises ValueError for a count other than the span's or a value that
-        does not fit its register.
+        does not fit its register; then packs with `pack_lanes`.
         """
         shifts, w = self.shifts, self.width
         if len(values) != len(shifts):
             raise ValueError(f"{len(values)} values for {len(shifts)} registers")
-        bits = 0
-        # v >> x is nonzero exactly when v is negative or too wide
-        for pos, x, v in zip(shifts, repeat(w) if type(w) is int else w, values):
-            if v >> x:
-                raise ValueError(f"value {v} does not fit in {x} bits")
-            bits |= v << pos
-        return bits
+        widths = [w] * len(shifts) if type(w) is int else w
+        # v >> x is nonzero exactly when v is negative or too wide; the
+        # check runs in C, and only a failing call looks for the value
+        if any(map(rshift, values, widths)):
+            v, x = next((v, x) for v, x in zip(values, widths) if v >> x)
+            raise ValueError(f"value {v} does not fit in {x} bits")
+        return self.pack_lanes(values)
+
+    def pack_lanes(self, values: Sequence[int]) -> int:
+        """`pack` without its checks, for values known to fit their lanes:
+        one C-level sum of shifted values, no bytecode per register."""
+        return sum(map(lshift, values, self.shifts))
 
 
 class RegisterFile:

@@ -240,7 +240,7 @@ def estimate_dag(
     touched: set = set()
     with DriverRun(
         tape, meter, width=width, vertex=g.n,
-        edge_choice=max(g.outdeg(v) for v in range(g.n)) + 1,
+        edge_choice=g.max_outdeg() + 1,
         walk_index=K + 1, n_reach=K + 1, hop_guard=g.n + 2, walk_count=K + 1,
     ) as run:
         values = regs.load()

@@ -193,8 +193,10 @@ def test_relevant_set_must_hold_its_in_neighbors():
 # --- held banks against the two-read reference kernel ------------------------
 
 
-def _held_bank_case(rng, layered, q, profile, seed):
+def _held_bank_case(rng, layered, q, profile, seed, width=None):
     """A random push program: (build, tape, width, t, extract, T).
+
+    Registers are 12 bits wider than q unless `width` is given.
 
     `build(tape)` makes the program over a copy of `tape` and returns it
     with two files: one of modulus q, where every register is valid, and
@@ -213,7 +215,8 @@ def _held_bank_case(rng, layered, q, profile, seed):
     T = rng.randint(1, 4)
     s, t = rng.choice(relevant), rng.choice(relevant)
     count = (T + 1) * n if layered else 2 * n
-    width = q.bit_length() + 12
+    if width is None:
+        width = q.bit_length() + 12
     tape = make_tape(count * width, profile, seed)
     file = valid_file(tape, 0, count, width, q)
     q2 = rng.randrange(3, 1 << width, 2)
@@ -294,29 +297,39 @@ def _drive_held_banks(prog, files, width, t, extract, T, seed, check):
 @pytest.mark.parametrize("layered", [False, True], ids=["parity", "layered"])
 def test_held_banks_match_the_two_read_kernel(layered):
     # small, odd and wide power-of-two moduli (the last extracts in 16-bit
-    # groups), each on all three tape profiles
+    # groups), and q = 2**width (connect_det's layout: d = 1, a residue is
+    # the whole register), each on all three tape profiles
     rng = random.Random(17 + layered)
     held_checks = []
 
     def check_held(prog):
         # held bits stay after a shift, an unshift or a change of modulus,
-        # which drop only the residues
+        # which drop only the residues and the high part
         file = prog.file
-        for bank, bits, residues in zip(prog.banks, prog._bits, prog._res):
+        for bank, bits, residues, high in zip(prog.banks, prog._bits,
+                                              prog._res, prog._high):
             if bits is not None:
                 assert bits == file.tape.read_bits(bank.offset, bank.bits)
                 held_checks.append(residues is not None)
+            assert (high is None) == (residues is None)
             if residues is not None:
                 assert bits is not None
                 q = file.modulus
                 assert residues == [v % q for v in bank.unpack(bits)]
+                assert high == bits - bank.pack(residues)
 
-    for trial in range(36):
-        q = (rng.randint(2, 9), rng.randrange(11, 5001, 2),
-             1 << rng.randint(17, 40))[trial % 3]
-        profile = TAPE_PROFILES[trial // 3 % 3]
+    for trial in range(48):
+        width = None
+        family = trial % 4
+        if family == 3:
+            width = rng.randint(2, 40)
+            q = 1 << width
+        else:
+            q = (rng.randint(2, 9), rng.randrange(11, 5001, 2),
+                 1 << rng.randint(17, 40))[family]
+        profile = TAPE_PROFILES[trial // 4 % 3]
         build, tape, width, t, extract, T = _held_bank_case(
-            rng, layered, q, profile, trial)
+            rng, layered, q, profile, trial, width)
         prog, files = build(tape)
         got = _drive_held_banks(prog, files, width, t, extract, T, trial,
                                 check_held)

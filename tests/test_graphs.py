@@ -276,6 +276,22 @@ def test_lift_edge_count_answers_from_its_base():
     assert sinks > 0
 
 
+def test_lift_max_outdeg_answers_from_its_base():
+    # the base's largest out-degree, or 0 with no layer to leave: the same
+    # as the brute-force maximum over all (T+1)*n lift vertices
+    rng = random.Random(23)
+    sinks = 0
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 8), p=rng.choice((0.1, 0.3)))
+        sinks += sum(g.outdeg(v) == 0 for v in range(g.n))
+        for base in (g, SinkLoopsView(g)):
+            for T in (0, 1, 3):
+                lift = LayeredLiftView(base, T)
+                want = max(lift.outdeg(v) for v in range(lift.n))
+                assert lift.max_outdeg() == want
+    assert sinks > 0
+
+
 def test_out_neighbors_list_the_per_index_answers():
     # the walks read each out-list once with `out_neighbors`: every view
     # lists the out-edges that its `outdeg` and `outnbr` queries give,
