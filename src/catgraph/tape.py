@@ -10,7 +10,6 @@ multiplier with q*d <= 2**width.
 from __future__ import annotations
 
 import hashlib
-from array import array
 from itertools import accumulate
 from operator import lshift, rshift
 from typing import Sequence
@@ -211,9 +210,10 @@ class RegisterSpan:
     its unchecked core `pack_lanes`) are the one place that turns span
     bits into register values and back.
     `packed` builds a span of per-register widths. `RegisterFile.span`
-    builds and checks a file's spans (`shifts` an array: no int object per
-    register); `span_values` and `shift_indices` take them unchecked, and a
-    span serves every file of the same base and width. `lanes` is None
+    builds and checks a file's spans (`shifts` a list of ints, which
+    `pack_lanes` and `unpack` read without boxing a new int per register);
+    `span_values` and `shift_indices` take them unchecked, and a span
+    serves every file of the same base and width. `lanes` is None
     until the span is first shifted; then it holds the masks of the
     lane-wise add (see `RegisterFile.shift_indices`).
     """
@@ -408,7 +408,7 @@ class RegisterFile:
         """
         indices = tuple(indices)
         if not indices:
-            return RegisterSpan((), self.base, 0, array("q"), self.width)
+            return RegisterSpan((), self.base, 0, [], self.width)
         lo, hi = min(indices), max(indices)
         if lo < 0 or hi >= self.count:
             bad = lo if lo < 0 else hi
@@ -418,7 +418,7 @@ class RegisterFile:
         w = self.width
         return RegisterSpan(
             indices, self.base + lo * w, (hi - lo + 1) * w,
-            array("q", [(i - lo) * w for i in indices]), w,
+            [(i - lo) * w for i in indices], w,
         )
 
     def span_values(self, span: RegisterSpan, blob: int) -> list[int]:

@@ -101,75 +101,118 @@ class VisitCounters:
         )
 
 
-def _rotor_walks(g: GraphOracle, s: int, mode: str, walks: int,
-                 values: list[int], width: int, counters: VisitCounters | None,
-                 touched: set | None, steps: StepCounter | None) -> dict[int, int]:
+_CYCLE = "walk exceeded the vertex count; input graph has a cycle"
+
+
+def _out_lists(g: GraphOracle) -> list[list[int]]:
+    """Every vertex's out-list, from one `out_neighbors` query per base vertex.
+
+    A LayeredLiftView's lists are built from its base's: vertex
+    layer * n + v gets [(layer + 1) * n + w for w in out[v]], and the
+    vertices of layer T get []. That is T * m entries, at most eps * K / 2
+    since K = ceil(2Tm / eps): fewer than a batch has walks.
+    """
+    if type(g) is not LayeredLiftView:
+        return [g.out_neighbors(v) for v in range(g.n)]
+    n = g.base_n
+    out = [g.base.out_neighbors(v) for v in range(n)]
+    shifts = [layer * n for layer in range(1, g.layers + 1)]
+    lists = [[shift + w for w in nb] for shift in shifts for nb in out]
+    lists.extend([] for _ in range(n))
+    return lists
+
+
+def _rotor_walks(g: GraphOracle, s: int, t: int, mode: str, walks: int,
+                 values: list[int], width: int, counts: list[int] | None,
+                 steps: StepCounter) -> tuple[int, int]:
     """Run `walks` rotor walks from s over the loaded register values.
 
-    Returns how many walks ended at each sink. Every FWD and REV batch of the
-    estimators runs through this one loop. A walk about to take step g.n + 1
-    raises WalkCycleError and leaves `values` half walked.
+    Returns how many walks ended at t and the vertex the last walk ended
+    at (s when there is no walk). Every FWD and REV batch of the
+    estimators runs through this one function: a forward loop, which adds
+    each departure from v to counts[v], and a reverse loop, which keeps no
+    counts. A walk about to take hop g.n + 1 raises WalkCycleError and
+    leaves `values` half walked.
 
-    A walk on a LayeredLiftView is a walk on its base graph plus a layer
-    counter: vertex (layer, v) keeps its register at layer * base_n + v and
-    the walk stops on the last layer. The lift is never materialized. Any
-    other graph is walked as itself, with stride 0 and no last layer.
-
-    The base graph is read-only input: each call reads every base vertex's
-    out-list once, with `out_neighbors`, and its hops take their degrees
-    and out-edges from those lists, so the graph answers base.n queries
-    per batch however many walks and steps it runs. Steps, registers and
-    the meter's charges are those of per-hop `outdeg` and `outnbr` queries.
+    Each call reads the out-lists once with `_out_lists`, so the graph
+    answers one `out_neighbors` query per base vertex per batch, however
+    many walks and hops it runs, and a lift is walked as a plain DAG.
+    Steps, registers and the meter's charges are those of per-hop `outdeg`
+    and `outnbr` queries.
     """
-    if type(g) is LayeredLiftView:
-        base, stride, last = g.base, g.base_n, g.layers * g.base_n
-    else:
-        base, stride, last = g, 0, -1
-    out = [base.out_neighbors(v) for v in range(base.n)]
+    out = _out_lists(g)
+    deg = [len(nb) for nb in out]
     mask = (1 << width) - 1
-    fwd = mode == FWD
-    n = g.n
-    visits = transitions = None
-    if counters is not None:
-        visits, transitions = counters.visits, counters.transitions
-    mark = touched.add if touched is not None else None
-    off0 = s - s % stride if stride else 0
-    v0 = s - off0
-    ends: dict[int, int] = {}
-    for _ in range(walks):
-        off, v, hops = off0, v0, 0
-        while True:
-            i = off + v
-            if visits is not None:
-                visits[i] += 1
-            if off == last:
-                break
-            nb = out[v]
-            if not nb:
-                break
-            if hops >= n:
-                raise WalkCycleError(
-                    "walk exceeded the vertex count; input graph has a cycle"
-                )
-            x = values[i]
-            if fwd:
-                r = x % len(nb)
-                values[i] = (x + 1) & mask
-            else:
-                x = (x - 1) & mask
-                values[i] = x
-                r = x % len(nb)
-            if mark is not None:
-                mark(i)
-            if transitions is not None:
-                transitions[i][r] += 1
-            v = nb[r]
-            off += stride
-            hops += 1
-        ends[i] = ends.get(i, 0) + 1
-        if steps is not None:
-            steps.n += hops
-    return ends
+    n = len(out)
+    d0 = deg[s]
+    v = s
+    reach = hops = 0
+    if mode == FWD:
+        for _ in range(walks):
+            v, d, h = s, d0, 0
+            while d:
+                if h == n:
+                    raise WalkCycleError(_CYCLE)
+                x = values[v]
+                values[v] = (x + 1) & mask
+                counts[v] += 1
+                v = out[v][x % d]
+                d = deg[v]
+                h += 1
+            if v == t:
+                reach += 1
+            hops += h
+    else:
+        for _ in range(walks):
+            v, d, h = s, d0, 0
+            while d:
+                if h == n:
+                    raise WalkCycleError(_CYCLE)
+                x = (values[v] - 1) & mask
+                values[v] = x
+                v = out[v][x % d]
+                d = deg[v]
+                h += 1
+            if v == t:
+                reach += 1
+            hops += h
+    steps.n += hops
+    return reach, v
+
+
+def _add_counters(counters: VisitCounters, out: list[list[int]], s: int,
+                  walks: int, first: list[int], counts: list[int],
+                  width: int) -> None:
+    """Add a batch's visits and transitions to `counters`, from its counts.
+
+    Vertex v's counts[v] departures read the register values first[v],
+    first[v] + 1, ... mod 2**width in turn and leave along out-edge (value)
+    mod outdeg(v), so its transitions count residue classes over
+    [first[v], first[v] + counts[v]), as `oracles.rotor_route_dag` does.
+    A vertex's visits are its inflow, plus one per walk started at s.
+    """
+    M = 1 << width
+    visits, transitions = counters.visits, counters.transitions
+    visits[s] += walks
+    for v, c in enumerate(counts):
+        if not c:
+            continue
+        nb, x = out[v], first[v]
+        d = len(nb)
+        full, rest = divmod(c, M)
+        # values x .. x+rest-1 after the full cycles: [x, hi) plus [0, wrap)
+        hi, wrap = min(x + rest, M), max(x + rest - M, 0)
+        row = transitions[v]
+        for r, w in enumerate(nb):
+            k = (full * _residues_below(M, d, r) + _residues_below(hi, d, r)
+                 - _residues_below(x, d, r) + _residues_below(wrap, d, r))
+            row[r] += k
+            visits[w] += k
+
+
+def _residues_below(b: int, d: int, r: int) -> int:
+    """How many y in [0, b) have y mod d == r."""
+    return b // d + (r < b % d)
 
 
 def walk_once(
@@ -187,9 +230,18 @@ def walk_once(
     if mode not in (FWD, REV):
         raise ValueError(f"mode must be {FWD!r} or {REV!r}")
     values = regs.load()
-    touched: set = set()
-    (end,) = _rotor_walks(g, s, mode, 1, values, regs.width, counters, touched, None)
-    regs.mark_touched(touched)
+    before = list(values)
+    counts = [0] * g.n
+    _, end = _rotor_walks(g, s, -1, mode, 1, values, regs.width, counts,
+                          StepCounter())
+    if mode == REV:
+        # the reverse loop keeps no counts; on a DAG a walk leaves each
+        # register at most once, so the registers it left are those it moved
+        counts = [int(x != y) for x, y in zip(before, values)]
+    regs.mark_touched([i for i, c in enumerate(counts) if c])
+    if counters is not None:
+        _add_counters(counters, _out_lists(g), s, 1,
+                      before if mode == FWD else values, counts, regs.width)
     regs.flush(values)
     return end
 
@@ -236,24 +288,27 @@ def estimate_dag(
     if tape is None:
         tape = CatalyticTape.zeros(g.n * width)
     regs = WalkRegisters(tape, 0, g.n, width)
-    counters = VisitCounters.for_graph(g) if collect else None
-    touched: set = set()
+    counts = [0] * g.n
     with DriverRun(
         tape, meter, width=width, vertex=g.n,
         edge_choice=g.max_outdeg() + 1,
         walk_index=K + 1, n_reach=K + 1, hop_guard=g.n + 2, walk_count=K + 1,
     ) as run:
         values = regs.load()
-        ends = _rotor_walks(g, s, FWD, K, values, width, counters, touched, run.steps)
+        first = list(values) if collect else None
+        n_reach, _ = _rotor_walks(g, s, t, FWD, K, values, width, counts, run.steps)
         # the reverse batch retraces the forward walks, so it touches no
         # other register
-        _rotor_walks(g, s, REV, K, values, width, None, None, run.steps)
+        _rotor_walks(g, s, t, REV, K, values, width, None, run.steps)
+        touched = len(counts) - counts.count(0)
         if touched:
             regs.flush(values)
-    n_reach = ends.get(t, 0)
-    if counters is not None:
+    counters = None
+    if collect:
+        counters = VisitCounters.for_graph(g)
+        _add_counters(counters, _out_lists(g), s, K, first, counts, width)
         counters.n_reach = n_reach
-    metrics = run.metrics(len(touched) * width, estimate=n_reach / K,
+    metrics = run.metrics(touched * width, estimate=n_reach / K,
                           extra={"walks": K})
     return DagWalkResult(n_reach / K, n_reach, K, width, counters, metrics)
 

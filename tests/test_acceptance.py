@@ -26,6 +26,7 @@ from catgraph.graphs import (
     LayeredLiftView,
     with_sink_loops,
 )
+from catgraph.metrics import StepCounter
 from catgraph.oracles import (
     bfs_reach,
     count_paths,
@@ -301,9 +302,10 @@ def test_criterion_08_fairness_and_reversibility(dag_runs):
             before = tape.digest()
             values = regs.load()
             for _ in range(K):
-                _rotor_walks(g, 0, FWD, 1, values, width, None, None, None)
+                _rotor_walks(g, 0, -1, FWD, 1, values, width, [0] * g.n,
+                             StepCounter())
             for _ in range(K):
-                _rotor_walks(g, 0, REV, 1, values, width, None, None, None)
+                _rotor_walks(g, 0, -1, REV, 1, values, width, None, StepCounter())
             regs.write_block(0, values)
             assert tape.digest() == before, (K, trial)
     report(8, "per-vertex transition counts differ by <= 2 on every forward run; "

@@ -10,6 +10,7 @@ from catgraph.metrics import StepCounter
 from catgraph.oracles import (
     dag_reach_probabilities,
     mixing_error,
+    rotor_route_dag,
     stationary_exact,
     walk_distribution,
     walk_matrix,
@@ -21,6 +22,8 @@ from catgraph.walks import (
     RotorRegisters,
     VisitCounters,
     WalkRegisters,
+    _add_counters,
+    _out_lists,
     _rotor_walks,
     collect_counters,
     dag_tape_bits,
@@ -72,6 +75,12 @@ def test_walk_once_figure_counts():
     assert counters.visits == [3, 2, 1, 1, 2, 0, 1, 2]
     flat = [counters.transitions[u][r] for u in range(6) for r in range(2)]
     assert flat == [2, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0]
+    # the reverse walks retrace the forward ones and count the same
+    back = VisitCounters.for_graph(g)
+    for _ in range(3):
+        walk_once(g, 0, REV, regs, back)
+    assert back == counters
+    assert regs.load() == FIGURE_INIT
 
 
 def test_walk_forward_then_reverse_restores():
@@ -99,9 +108,10 @@ def test_walk_registers_flush_changes_only_the_walked_registers():
         regs = WalkRegisters(tape, 5, g.n, width)
         before = tape.read_bits(0, tape.nbits)
         values = regs.load()
-        touched = set()
-        _rotor_walks(g, g.n - 1, FWD, 4, values, width, None, touched, None)
-        _rotor_walks(g, 0, FWD, 3, values, width, None, touched, None)
+        counts = [0] * g.n
+        _rotor_walks(g, g.n - 1, -1, FWD, 4, values, width, counts, StepCounter())
+        _rotor_walks(g, 0, -1, FWD, 3, values, width, counts, StepCounter())
+        touched = {i for i, c in enumerate(counts) if c}
         assert 0 < len(touched) < g.n
         regs.flush(values)
         want = before
@@ -145,25 +155,41 @@ def test_walk_cycle_error_leaves_tape_unchanged(profile):
     assert regs.touched_bits <= 2  # only the completed walk's register
 
 
-def _batches(run, g, log, s, K, width, init):
-    """FWD then REV batches of K walks; everything the walks change, and
-    each batch's out-edge queries last."""
+def _kernel_batches(g, log, s, t, K, width, init):
+    """FWD then REV kernel batches of K walks: what they return and change,
+    the counters derived from the forward counts, and each batch's
+    out-edge queries last."""
+    values = list(init)
+    counts = [0] * g.n
+    steps = StepCounter()
+    log.log.clear()
+    fwd = _rotor_walks(g, s, t, FWD, K, values, width, counts, steps)
+    after_fwd, fwd_log = list(values), list(log.log)
+    log.log.clear()
+    rev = _rotor_walks(g, s, t, REV, K, values, width, None, steps)
+    queried = (fwd_log, list(log.log))
+    counters = VisitCounters.for_graph(g)
+    _add_counters(counters, _out_lists(g), s, K, init, counts, width)
+    touched = {v for v, c in enumerate(counts) if c}
+    return (fwd, rev, after_fwd, values, counters.visits, counters.transitions,
+            touched, steps.n, queried)
+
+
+def _reference_batches(g, s, t, K, width, init):
+    """The same batches, one reference walk at a time, and the forward
+    walks' end vertices."""
     values = list(init)
     counters = VisitCounters.for_graph(g)
     touched: set = set()
     steps = StepCounter()
-    log.log.clear()
-    ends = run(g, s, FWD, K, values, width, counters, touched, steps)
-    after_fwd, fwd_log = list(values), list(log.log)
-    log.log.clear()
-    run(g, s, REV, K, values, width, None, touched, steps)
-    return (ends, after_fwd, values, counters.visits, counters.transitions,
-            touched, steps.n, (fwd_log, list(log.log)))
-
-
-def _reference_batch(g, s, mode, K, values, width, counters, touched, steps):
-    return dict(Counter(reference_walk(g, s, mode, values, width, counters,
-                                       touched, steps) for _ in range(K)))
+    fwd = [reference_walk(g, s, FWD, values, width, counters, touched, steps)
+           for _ in range(K)]
+    after_fwd = list(values)
+    rev = [reference_walk(g, s, REV, values, width, None, touched, steps)
+           for _ in range(K)]
+    ends = [(e.count(t), e[-1] if e else s) for e in (fwd, rev)]
+    return (*ends, after_fwd, values, counters.visits, counters.transitions,
+            touched, steps.n), Counter(fwd)
 
 
 def _graph_with_sinks(rng, n):
@@ -174,9 +200,10 @@ def _graph_with_sinks(rng, n):
 
 
 def test_walk_kernel_matches_reference_walks():
-    # end vertices, registers, counters, touched set and steps, against one
-    # reference walk at a time; the kernel reads each base vertex's
-    # out-list at most once per batch, however many walks the batch runs
+    # arrivals at t and end vertices, registers, counters, touched set and
+    # steps, against one reference walk at a time; the kernel reads each
+    # base vertex's out-list at most once per batch, however many walks
+    # the batch runs
     rng = random.Random(11)
     cases = []
     for _ in range(40):
@@ -195,18 +222,88 @@ def test_walk_kernel_matches_reference_walks():
         width = rng.randint(1, 5)
         K = rng.randint(1, 40)
         init = [rng.randrange(1 << width) for _ in range(g.n)]
-        got = _batches(_rotor_walks, g, log, s, K, width, init)
-        want = _batches(_reference_batch, g, log, s, K, width, init)
-        assert got[:-1] == want[:-1], (g.n, s, K, width)
-        assert got[2] == init
+        sinks = [v for v in range(g.n) if g.outdeg(v) == 0]
+        t = sinks[-1]
+        got = _kernel_batches(g, log, s, t, K, width, init)
+        want, ends = _reference_batches(g, s, t, K, width, init)
+        assert got[:-1] == want, (g.n, s, K, width)
+        assert got[3] == init
+        # a sink's derived visits are the walks that ended there
+        assert [got[4][v] for v in sinks] == [ends[v] for v in sinks]
         queried = got[-1]
         for batch in queried:
             assert set(batch) <= {("out_neighbors", v) for v in range(log.n)}
             assert len(batch) == len(set(batch))
-        assert queried == _batches(_rotor_walks, g, log, s, 2 * K, width, init)[-1]
+        assert queried == _kernel_batches(g, log, s, t, 2 * K, width, init)[-1]
         if g is not log:
-            lifted_steps += got[6]
+            lifted_steps += got[7]
     assert lifted_steps > 0
+
+
+def test_walk_of_n_hops_finishes_and_one_more_raises():
+    # the hop guard lets a walk take exactly n hops: 0 -> 1 -> 0 -> 2 on
+    # three vertices; 0 -> 1 -> 0 -> 2 -> 0 -> 3 needs 5 hops on four
+    g = AdjacencyGraph.from_edges(3, [(0, 1), (0, 2), (1, 0)])
+    regs = WalkRegisters(CatalyticTape.zeros(3), 0, 3, 1)
+    assert walk_once(g, 0, FWD, regs) == 2
+    assert regs.load() == [0, 1, 0]  # 0 left twice, 1 once
+    assert regs.touched_bits == 2  # 0's register wrapped back, yet was left
+    res = estimate_dag(g, 0, 2, 0.5, CatalyticTape.zeros(dag_tape_bits(g, 0.5)))
+    assert res.n_reach == res.walks
+    g = AdjacencyGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0)])
+    tape = CatalyticTape.zeros(8)
+    regs = WalkRegisters(tape, 0, 4, 2)
+    with pytest.raises(WalkCycleError):
+        walk_once(g, 0, FWD, regs)
+    assert tape.digest() == CatalyticTape.zeros(8).digest()
+    tape = CatalyticTape.zeros(dag_tape_bits(g, 0.5))
+    before = tape.digest()
+    with pytest.raises(WalkCycleError):
+        estimate_dag(g, 0, 3, 0.5, tape)
+    assert tape.digest() == before
+
+
+@pytest.mark.parametrize("T", [0, 1, 5])
+@pytest.mark.parametrize("loops", [False, True])
+def test_lift_out_lists_are_the_views_out_edges(T, loops):
+    # the host lists of a lift are its out-edges, built from one
+    # out_neighbors query per base vertex; estimate_general's two batches
+    # read each base vertex once each
+    g = _graph_with_sinks(random.Random(T), 6)
+    log = LoggingGraph(with_sink_loops(g) if loops else g)
+    lift = LayeredLiftView(log, T)
+    lists = _out_lists(lift)
+    assert log.log == [("out_neighbors", v) for v in range(log.n)]
+    assert lists == [[lift.outnbr(i, r) for r in range(lift.outdeg(i))]
+                     for i in range(lift.n)]
+    log.log.clear()
+    estimate_dag(lift, lift.encode(0, 0), lift.encode(T, log.n - 1), 0.5)
+    read = [q for q in log.log if q[0] == "out_neighbors"]
+    assert read == 2 * [("out_neighbors", v) for v in range(log.n)]
+
+
+def test_a_register_that_wraps_back_still_counts_as_touched():
+    # m = 3 and eps = 1.5 give K = 4 walks and 2-bit registers, so s's
+    # register makes one full turn and ends where it began
+    g = AdjacencyGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    for trial, profile in enumerate(TAPE_PROFILES):
+        tape = make_tape(dag_tape_bits(g, 1.5), profile, trial)
+        init = WalkRegisters(tape, 0, g.n, 2).load()
+        res = estimate_dag(g, 0, 2, 1.5, tape, collect=True)
+        assert (res.walks, res.width) == (4, 2)
+        values = list(init)
+        want = VisitCounters.for_graph(g)
+        for _ in range(res.walks):
+            reference_walk(g, 0, FWD, values, 2, want, None, None)
+        assert values[0] == init[0]
+        assert res.metrics.catalytic_bits == 2 * 2  # registers 0 and 1
+        assert res.counters.visits == want.visits
+        assert res.counters.transitions == want.transitions
+        assert res.n_reach == want.visits[2]
+        chips, edge_chips, _ = rotor_route_dag(g, 0, res.walks, init, 2)
+        assert res.counters.visits == chips
+        assert res.counters.transitions == edge_chips
+        assert res.metrics.tape_restored
 
 
 _SWEEP_GRAPH = AdjacencyGraph.from_edges(
@@ -383,9 +480,9 @@ def test_repeated_walks_reverse_in_bulk(k):
     before = tape.digest()
     values = regs.load()
     for _ in range(k):
-        _rotor_walks(g, 0, FWD, 1, values, width, None, None, None)
+        _rotor_walks(g, 0, -1, FWD, 1, values, width, [0] * g.n, StepCounter())
     for _ in range(k):
-        _rotor_walks(g, 0, REV, 1, values, width, None, None, None)
+        _rotor_walks(g, 0, -1, REV, 1, values, width, None, StepCounter())
     regs.write_block(0, values)
     assert tape.digest() == before
 
