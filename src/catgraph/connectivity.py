@@ -92,14 +92,14 @@ class _PushProgram:
     tape write happens whole or not at all, so whatever raises leaves every
     held bank equal to the tape. A bank's residues are built from its held
     bits, validated by `RegisterFile.span_values`, when a step first needs
-    them; a shift or unshift of the bank, or `use_file` (a new modulus),
-    drops them. Every write is one bank's whole span or register s, which
-    is in bank 0, so the program changes its bank registers and no others.
+    them; a shift or unshift of the bank, or `use_modulus`, drops them.
+    Every write is one bank's whole span or register s, which is in bank
+    0, so the program changes its bank registers and no others.
 
-    A subclass builds its spans once, from the file it is given; `use_file`
-    moves the program to another file over the same registers, so a
-    randomized driver builds one program per call and hands it each round's
-    file.
+    A subclass builds its spans once, from the file it is given;
+    `use_modulus` gives the program a file of another modulus over the same
+    registers, so a randomized driver builds one program per call and sets
+    each round's modulus.
     """
 
     def __init__(self, s: int, T: int, file: RegisterFile,
@@ -160,17 +160,12 @@ class _PushProgram:
         """The bank registers' bits, the only register bits a step writes."""
         return self.bank_registers * self.file.width
 
-    def use_file(self, file: RegisterFile) -> None:
-        """Run on `file` from now on; only its modulus may differ."""
-        old = self.file
-        if (file.tape is not old.tape or file.base != old.base
-                or file.width != old.width or file.count != old.count):
-            raise ValueError(
-                "a program's new file must keep its tape, base, width and count"
-            )
+    def use_modulus(self, q: int) -> None:
+        """Run with modulus q from now on, over the same registers."""
+        f = self.file
+        self.file = allocate_registers(f.tape, f.base, f.count, f.width, q)
         self._res = [None] * len(self.banks)
         self._high = [None] * len(self.banks)
-        self.file = file
 
     def layer_push(self, i: int, reverse: bool = False) -> None:
         """Apply phase i, or with `reverse` subtract the same sums again.
@@ -586,26 +581,24 @@ def _random_rounds(
 ) -> str:
     """Up to `iters` rounds of a random modulus and shift; returns the verdict.
 
-    A round draws q in [2, q_hi) and a shift beta, hands the program a file
-    of modulus q over its registers, shifts every bank, and extracts the
-    answer register with `extract` if the shift left every bank register
-    valid (the shift reports it from the values it wrote; the model still
-    charges the scan). The shift is removed on every exit path: the normal-path
+    A round draws q in [2, q_hi) and a shift beta, sets the program's
+    modulus to q, shifts every bank, and extracts the answer register with
+    `extract` if the shift left every bank register valid (the shift
+    reports it from the values it wrote; the model still charges the
+    scan). The shift is removed on every exit path: the normal-path
     `unshift` sits inside the `try`, so an exception raised by it, too, is
     followed by an unshift from the banks still shifted. An invalid
     register aborts, a nonzero answer is a path, and all-zero rounds say
     no path. `prog.pause`, when set, also hears "shifted" and "unshifted"
     (or "abort-unshifted").
     """
-    file = prog.file
-    tape, base, count, ell = file.tape, file.base, file.count, file.width
+    ell = prog.file.width
     # scanning, then unshifting, every bank register is one step each
     regs = prog.bank_registers
     for _ in range(iters):
         q = rng.randrange(2, q_hi)
         beta = rng.getrandbits(ell)
-        file = allocate_registers(tape, base, count, ell, q)
-        prog.use_file(file)
+        prog.use_modulus(q)
         try:
             valid = prog.shift(beta)
             run.steps.add(regs)

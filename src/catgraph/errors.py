@@ -26,10 +26,12 @@ class GraphFormatError(CatgraphError):
 
 
 class WalkCycleError(CatgraphError):
-    """A walk exceeded n steps, which is impossible on acyclic input.
+    """A walk exceeded n steps, or reverse walks did not retrace the
+    forward ones: neither can happen on acyclic input.
 
-    The walk's registers are written back only after every walk finished,
-    so when this fires the tape is left as it was.
+    A driver writes its registers back only after its walks finished (and,
+    in `estimate_dag`, retraced), so when this fires the tape is left as
+    it was.
     """
 
 

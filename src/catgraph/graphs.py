@@ -43,10 +43,6 @@ class GraphOracle:
     def edge_count(self) -> int:
         return sum(self.outdeg(v) for v in range(self.n))
 
-    def max_outdeg(self) -> int:
-        """The largest out-degree, 0 when there is no vertex."""
-        return max(map(self.outdeg, range(self.n)), default=0)
-
 
 class AdjacencyGraph(GraphOracle):
     """In-memory backend with both adjacency directions, sorted ascending."""
@@ -302,10 +298,6 @@ class LayeredLiftView(GraphOracle):
 
     def edge_count(self) -> int:
         return self.layers * self.base.edge_count()
-
-    def max_outdeg(self) -> int:
-        # layers 0..T-1 copy the base's out-edges; layer T is all sinks
-        return self.base.max_outdeg() if self.layers else 0
 
     def outdeg(self, vid: int) -> int:
         layer, v = self.decode(vid)

@@ -122,25 +122,24 @@ def _out_lists(g: GraphOracle) -> list[list[int]]:
     return lists
 
 
-def _rotor_walks(g: GraphOracle, s: int, t: int, mode: str, walks: int,
+def _rotor_walks(out: list[list[int]], s: int, t: int, mode: str, walks: int,
                  values: list[int], width: int, counts: list[int] | None,
                  steps: StepCounter) -> tuple[int, int]:
-    """Run `walks` rotor walks from s over the loaded register values.
+    """Run `walks` rotor walks from s over the out-lists `out` and the
+    loaded register values.
 
     Returns how many walks ended at t and the vertex the last walk ended
     at (s when there is no walk). Every FWD and REV batch of the
     estimators runs through this one function: a forward loop, which adds
     each departure from v to counts[v], and a reverse loop, which keeps no
-    counts. A walk about to take hop g.n + 1 raises WalkCycleError and
-    leaves `values` half walked.
+    counts. A walk about to take hop len(out) + 1 raises WalkCycleError
+    and leaves `values` half walked.
 
-    Each call reads the out-lists once with `_out_lists`, so the graph
-    answers one `out_neighbors` query per base vertex per batch, however
-    many walks and hops it runs, and a lift is walked as a plain DAG.
-    Steps, registers and the meter's charges are those of per-hop `outdeg`
-    and `outnbr` queries.
+    The kernel queries no graph: `out` is the host-side copy that
+    `_out_lists` builds once per driver call, so a lift is walked as a
+    plain DAG. Steps, registers and the meter's charges are those of
+    per-hop `outdeg` and `outnbr` queries.
     """
-    out = _out_lists(g)
     deg = [len(nb) for nb in out]
     mask = (1 << width) - 1
     n = len(out)
@@ -229,10 +228,11 @@ def walk_once(
     """
     if mode not in (FWD, REV):
         raise ValueError(f"mode must be {FWD!r} or {REV!r}")
+    out = _out_lists(g)
     values = regs.load()
     before = list(values)
     counts = [0] * g.n
-    _, end = _rotor_walks(g, s, -1, mode, 1, values, regs.width, counts,
+    _, end = _rotor_walks(out, s, -1, mode, 1, values, regs.width, counts,
                           StepCounter())
     if mode == REV:
         # the reverse loop keeps no counts; on a DAG a walk leaves each
@@ -240,7 +240,7 @@ def walk_once(
         counts = [int(x != y) for x, y in zip(before, values)]
     regs.mark_touched([i for i, c in enumerate(counts) if c])
     if counters is not None:
-        _add_counters(counters, _out_lists(g), s, 1,
+        _add_counters(counters, out, s, 1,
                       before if mode == FWD else values, counts, regs.width)
     regs.flush(values)
     return end
@@ -274,15 +274,18 @@ def estimate_dag(
     """Estimate the probability a random walk from s reaches the sink t.
 
     Runs K = ceil(2m/eps) forward walks counting arrivals at t, then K
-    reverse walks to undo every register change. The cycle guard raises
-    WalkCycleError on non-acyclic input; the registers are written back only
-    after both batches finish, so the tape is then left as it was.
+    reverse walks to undo every register change. The graph is read once,
+    by `_out_lists`, and both batches walk those lists. Non-acyclic input
+    raises WalkCycleError: from the hop guard, or after both batches when
+    the reverse walks did not bring every register back. The registers are
+    written back only after that check, so the tape is then left as it was.
     """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"s={s}, t={t} out of range for {g.n} vertices")
-    if g.outdeg(t) != 0:
+    out = _out_lists(g)
+    if out[t]:
         raise SinkVertexError(f"target {t} is not a sink")
-    m = g.edge_count()
+    m = sum(map(len, out))
     K = simulation_count(m, eps)
     width = register_width(K)
     if tape is None:
@@ -291,22 +294,25 @@ def estimate_dag(
     counts = [0] * g.n
     with DriverRun(
         tape, meter, width=width, vertex=g.n,
-        edge_choice=g.max_outdeg() + 1,
+        edge_choice=max(map(len, out), default=0) + 1,
         walk_index=K + 1, n_reach=K + 1, hop_guard=g.n + 2, walk_count=K + 1,
     ) as run:
-        values = regs.load()
-        first = list(values) if collect else None
-        n_reach, _ = _rotor_walks(g, s, t, FWD, K, values, width, counts, run.steps)
-        # the reverse batch retraces the forward walks, so it touches no
-        # other register
-        _rotor_walks(g, s, t, REV, K, values, width, None, run.steps)
+        first = regs.load()
+        values = list(first)
+        n_reach, _ = _rotor_walks(out, s, t, FWD, K, values, width, counts, run.steps)
+        # on a DAG the reverse batch retraces the forward walks, so it
+        # touches no other register and leaves every one as loaded
+        _rotor_walks(out, s, t, REV, K, values, width, None, run.steps)
+        if values != first:
+            raise WalkCycleError(
+                "reverse walks did not retrace the forward ones; input graph has a cycle")
         touched = len(counts) - counts.count(0)
         if touched:
             regs.flush(values)
     counters = None
     if collect:
-        counters = VisitCounters.for_graph(g)
-        _add_counters(counters, _out_lists(g), s, K, first, counts, width)
+        counters = VisitCounters([0] * g.n, [[0] * len(nb) for nb in out])
+        _add_counters(counters, out, s, K, first, counts, width)
         counters.n_reach = n_reach
     metrics = run.metrics(touched * width, estimate=n_reach / K,
                           extra={"walks": K})
@@ -419,7 +425,7 @@ def stationary_tape_bits(g: GraphOracle) -> int:
 class StationaryResult:
     rho: float
     t_prime: int
-    visit_counts: list[int] | None
+    visit_counts: list[int]
     final_rotors: list[int]
     metrics: RunMetrics
 
@@ -443,7 +449,6 @@ def estimate_stationary(
     *,
     start: int = 0,
     restore: bool = True,
-    collect: bool = False,
     meter: WorkspaceMeter | None = None,
 ) -> StationaryResult:
     """Fraction of a long rotor walk spent at v_star.
@@ -504,4 +509,4 @@ def estimate_stationary(
         normalizations=["out-of-band-rotor-restore"] if restore else [],
         extra={"t_prime": t_prime, "in_band_irreversible": True},
     )
-    return StationaryResult(rho, t_prime, counts if collect else None, values, metrics)
+    return StationaryResult(rho, t_prime, counts, values, metrics)

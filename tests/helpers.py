@@ -136,7 +136,7 @@ def reference_walk(g, s, mode, values, width, counters, touched, steps) -> int:
 
 
 def reference_stationary(g, v_star, mix_time, delta, tape, *, start=0,
-                         restore=True, collect=False) -> dict:
+                         restore=True) -> dict:
     """The stationary rotor walk as first written, kept as its reference:
     a visited set, a v* counter, one step counted per iteration, and a
     write-back of the visited rotors alone, one rotor span at a time. The
@@ -148,15 +148,14 @@ def reference_stationary(g, v_star, mix_time, delta, tape, *, start=0,
     before = tape.snapshot()
     values = [tape.read_bits(off, w) % g.outdeg(u)
               for u, (off, w) in enumerate(zip(offsets, widths))]
-    counts = [0] * g.n if collect else None
+    counts = [0] * g.n
     visited = set()
     n_visit = steps = 0
     v = start
     for _ in range(t_prime):
         if v == v_star:
             n_visit += 1
-        if counts is not None:
-            counts[v] += 1
+        counts[v] += 1
         d = g.outdeg(v)
         r = values[v]
         values[v] = (values[v] + 1) % d

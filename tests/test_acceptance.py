@@ -42,6 +42,7 @@ from catgraph.walks import (
     REV,
     RotorRegisters,
     WalkRegisters,
+    _out_lists,
     _rotor_walks,
     dag_tape_bits,
     estimate_dag,
@@ -301,11 +302,12 @@ def test_criterion_08_fairness_and_reversibility(dag_runs):
             regs = WalkRegisters(tape, 0, g.n, width)
             before = tape.digest()
             values = regs.load()
+            out = _out_lists(g)
             for _ in range(K):
-                _rotor_walks(g, 0, -1, FWD, 1, values, width, [0] * g.n,
+                _rotor_walks(out, 0, -1, FWD, 1, values, width, [0] * g.n,
                              StepCounter())
             for _ in range(K):
-                _rotor_walks(g, 0, -1, REV, 1, values, width, None, StepCounter())
+                _rotor_walks(out, 0, -1, REV, 1, values, width, None, StepCounter())
             regs.write_block(0, values)
             assert tape.digest() == before, (K, trial)
     report(8, "per-vertex transition counts differ by <= 2 on every forward run; "
@@ -369,7 +371,7 @@ def test_criterion_10_stationary_walk():
         v_star = k % g.n
         for delta in (0.1, 0.02):
             tape = make_tape(stationary_tape_bits(g), TAPE_PROFILES[k % 3], seed=k)
-            res = estimate_stationary(g, v_star, T, delta, tape, collect=True)
+            res = estimate_stationary(g, v_star, T, delta, tape)
             assert abs(res.rho - pi[v_star]) <= eps_meas + delta, (k, g.n, delta)
             c = np.array(res.visit_counts, dtype=float) / res.t_prime
             assert np.abs(c - WT @ c).sum() <= delta, (k, g.n, delta)

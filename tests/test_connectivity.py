@@ -199,9 +199,9 @@ def _held_bank_case(rng, layered, q, profile, seed, width=None):
     Registers are 12 bits wider than q unless `width` is given.
 
     `build(tape)` makes the program over a copy of `tape` and returns it
-    with two files: one of modulus q, where every register is valid, and
-    one of a modulus q2 whose q2*d lies below q*d, under which one
-    register of bank 0 (set to q*d - 1) is invalid.
+    with two moduli: q, under which every register is valid, and a q2
+    whose q2*d lies below q*d, under which one register of bank 0 (set to
+    q*d - 1) is invalid.
     """
     n = rng.randint(2, 7)
     relevant = list(range(n))
@@ -226,17 +226,17 @@ def _held_bank_case(rng, layered, q, profile, seed, width=None):
 
     def build(copy):
         tape = CatalyticTape(copy.nbits, bytearray(copy.snapshot()))
-        files = [allocate_registers(tape, 0, count, width, m) for m in (q, q2)]
+        file = allocate_registers(tape, 0, count, width, q)
         if layered:
-            prog = LayeredPushState(g, s, T, files[0], relevant=relevant)
+            prog = LayeredPushState(g, s, T, file, relevant=relevant)
         else:
-            prog = ParityProgram(g, s, T, files[0])
-        return prog, files
+            prog = ParityProgram(g, s, T, file)
+        return prog, (q, q2)
 
     return build, tape, width, t, st_count_mod if layered else st_nonzero_mod, T
 
 
-def _drive_held_banks(prog, files, width, t, extract, T, seed, check):
+def _drive_held_banks(prog, moduli, width, t, extract, T, seed, check):
     """Run a program through extractions, a shift and unshift, tape-write
     faults inside runs and a change of modulus; returns the log of
     (event, tape bytes) at every pause point and after every step.
@@ -265,7 +265,7 @@ def _drive_held_banks(prog, files, width, t, extract, T, seed, check):
         return rng.randint(0, 2 * T - 1)
 
     prog.pause = note
-    prog.use_file(files[0])
+    prog.use_modulus(moduli[0])
     attempt("extract")
     attempt("cut-b0", b0_phase())
     valid = prog.shift(rng.getrandbits(width))
@@ -281,7 +281,7 @@ def _drive_held_banks(prog, files, width, t, extract, T, seed, check):
     prog.run_push(1)
     prog.run_reverse(1)
     attempt("cut-b0", b0_phase())
-    prog.use_file(files[1])
+    prog.use_modulus(moduli[1])
     try:
         prog.forward_phase()
     except InvalidRegisterError as err:
@@ -289,7 +289,7 @@ def _drive_held_banks(prog, files, width, t, extract, T, seed, check):
     prog.unwind()
     note("unwound")
     attempt("extract-q2")
-    prog.use_file(files[0])
+    prog.use_modulus(moduli[0])
     attempt("extract-again")
     return log, prog.steps.n
 
@@ -330,11 +330,11 @@ def test_held_banks_match_the_two_read_kernel(layered):
         profile = TAPE_PROFILES[trial // 4 % 3]
         build, tape, width, t, extract, T = _held_bank_case(
             rng, layered, q, profile, trial, width)
-        prog, files = build(tape)
-        got = _drive_held_banks(prog, files, width, t, extract, T, trial,
+        prog, moduli = build(tape)
+        got = _drive_held_banks(prog, moduli, width, t, extract, T, trial,
                                 check_held)
-        ref, files = build(tape)
-        want = _drive_held_banks(with_reference_kernel(ref), files, width, t,
+        ref, moduli = build(tape)
+        want = _drive_held_banks(with_reference_kernel(ref), moduli, width, t,
                                  extract, T, trial, lambda prog: None)
         assert got == want, (trial, q, profile)
         events = [event for event, _ in got[0]]

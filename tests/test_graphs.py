@@ -14,6 +14,7 @@ from catgraph.graphs import (
     load_graph,
 )
 from catgraph.oracles import bfs_reach, count_paths, topological_order
+from catgraph.walks import _out_lists
 
 from helpers import random_graph
 
@@ -276,8 +277,9 @@ def test_lift_edge_count_answers_from_its_base():
     assert sinks > 0
 
 
-def test_lift_max_outdeg_answers_from_its_base():
-    # the base's largest out-degree, or 0 with no layer to leave: the same
+def test_lift_out_lists_longest_is_the_largest_outdeg():
+    # estimate_dag's edge_choice range comes from the longest out-list:
+    # the base's largest out-degree, or 0 with no layer to leave, the same
     # as the brute-force maximum over all (T+1)*n lift vertices
     rng = random.Random(23)
     sinks = 0
@@ -288,7 +290,7 @@ def test_lift_max_outdeg_answers_from_its_base():
             for T in (0, 1, 3):
                 lift = LayeredLiftView(base, T)
                 want = max(lift.outdeg(v) for v in range(lift.n))
-                assert lift.max_outdeg() == want
+                assert max(map(len, _out_lists(lift)), default=0) == want
     assert sinks > 0
 
 

@@ -422,23 +422,17 @@ def test_empty_span():
     assert tape.snapshot() == before
 
 
-def test_program_rejects_a_file_of_another_geometry():
+def test_use_modulus_keeps_the_programs_registers():
+    # another modulus over the same registers is the point of use_modulus
     g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
     tape = make_tape(200, "random", seed=19)
-    other = make_tape(200, "random", seed=19)
     parity = ParityProgram(g, 0, 3, allocate_registers(tape, 4, 6, 8, 5))
     layered = LayeredPushState(g, 0, 1, allocate_registers(tape, 4, 6, 8, 5))
     for prog in (parity, layered):
-        for bad in (allocate_registers(other, 4, 6, 8, 5),
-                    allocate_registers(tape, 5, 6, 8, 5),
-                    allocate_registers(tape, 4, 6, 9, 5),
-                    allocate_registers(tape, 4, 7, 8, 5)):
-            with pytest.raises(ValueError):
-                prog.use_file(bad)
-        # another modulus over the same registers is the point of use_file
-        same = allocate_registers(tape, 4, 6, 8, 7)
-        prog.use_file(same)
-        assert prog.file is same
+        prog.use_modulus(7)
+        f = prog.file
+        assert f.tape is tape
+        assert (f.base, f.count, f.width, f.modulus) == (4, 6, 8, 7)
 
 
 def test_stream_residue_matches_direct_mod():

@@ -109,8 +109,9 @@ def test_walk_registers_flush_changes_only_the_walked_registers():
         before = tape.read_bits(0, tape.nbits)
         values = regs.load()
         counts = [0] * g.n
-        _rotor_walks(g, g.n - 1, -1, FWD, 4, values, width, counts, StepCounter())
-        _rotor_walks(g, 0, -1, FWD, 3, values, width, counts, StepCounter())
+        out = _out_lists(g)
+        _rotor_walks(out, g.n - 1, -1, FWD, 4, values, width, counts, StepCounter())
+        _rotor_walks(out, 0, -1, FWD, 3, values, width, counts, StepCounter())
         touched = {i for i, c in enumerate(counts) if c}
         assert 0 < len(touched) < g.n
         regs.flush(values)
@@ -156,23 +157,26 @@ def test_walk_cycle_error_leaves_tape_unchanged(profile):
 
 
 def _kernel_batches(g, log, s, t, K, width, init):
-    """FWD then REV kernel batches of K walks: what they return and change,
-    the counters derived from the forward counts, and each batch's
-    out-edge queries last."""
+    """FWD then REV kernel batches of K walks over one read of the
+    out-lists: what they return and change, and the counters derived from
+    the forward counts. The read makes one `out_neighbors` query per base
+    vertex and the batches make none."""
     values = list(init)
     counts = [0] * g.n
     steps = StepCounter()
     log.log.clear()
-    fwd = _rotor_walks(g, s, t, FWD, K, values, width, counts, steps)
-    after_fwd, fwd_log = list(values), list(log.log)
+    out = _out_lists(g)
+    assert log.log == [("out_neighbors", v) for v in range(log.n)]
     log.log.clear()
-    rev = _rotor_walks(g, s, t, REV, K, values, width, None, steps)
-    queried = (fwd_log, list(log.log))
+    fwd = _rotor_walks(out, s, t, FWD, K, values, width, counts, steps)
+    after_fwd = list(values)
+    rev = _rotor_walks(out, s, t, REV, K, values, width, None, steps)
+    assert log.log == []
     counters = VisitCounters.for_graph(g)
-    _add_counters(counters, _out_lists(g), s, K, init, counts, width)
+    _add_counters(counters, out, s, K, init, counts, width)
     touched = {v for v, c in enumerate(counts) if c}
     return (fwd, rev, after_fwd, values, counters.visits, counters.transitions,
-            touched, steps.n, queried)
+            touched, steps.n)
 
 
 def _reference_batches(g, s, t, K, width, init):
@@ -201,9 +205,8 @@ def _graph_with_sinks(rng, n):
 
 def test_walk_kernel_matches_reference_walks():
     # arrivals at t and end vertices, registers, counters, touched set and
-    # steps, against one reference walk at a time; the kernel reads each
-    # base vertex's out-list at most once per batch, however many walks
-    # the batch runs
+    # steps, against one reference walk at a time; the out-lists are read
+    # once, one query per base vertex, and the kernel queries no graph
     rng = random.Random(11)
     cases = []
     for _ in range(40):
@@ -226,15 +229,10 @@ def test_walk_kernel_matches_reference_walks():
         t = sinks[-1]
         got = _kernel_batches(g, log, s, t, K, width, init)
         want, ends = _reference_batches(g, s, t, K, width, init)
-        assert got[:-1] == want, (g.n, s, K, width)
+        assert got == want, (g.n, s, K, width)
         assert got[3] == init
         # a sink's derived visits are the walks that ended there
         assert [got[4][v] for v in sinks] == [ends[v] for v in sinks]
-        queried = got[-1]
-        for batch in queried:
-            assert set(batch) <= {("out_neighbors", v) for v in range(log.n)}
-            assert len(batch) == len(set(batch))
-        assert queried == _kernel_batches(g, log, s, t, 2 * K, width, init)[-1]
         if g is not log:
             lifted_steps += got[7]
     assert lifted_steps > 0
@@ -248,8 +246,11 @@ def test_walk_of_n_hops_finishes_and_one_more_raises():
     assert walk_once(g, 0, FWD, regs) == 2
     assert regs.load() == [0, 1, 0]  # 0 left twice, 1 once
     assert regs.touched_bits == 2  # 0's register wrapped back, yet was left
-    res = estimate_dag(g, 0, 2, 0.5, CatalyticTape.zeros(dag_tape_bits(g, 0.5)))
-    assert res.n_reach == res.walks
+    # every walk finishes, but the reverse walks do not retrace them
+    tape = CatalyticTape.zeros(dag_tape_bits(g, 0.5))
+    with pytest.raises(WalkCycleError):
+        estimate_dag(g, 0, 2, 0.5, tape)
+    assert tape.digest() == CatalyticTape.zeros(tape.nbits).digest()
     g = AdjacencyGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0)])
     tape = CatalyticTape.zeros(8)
     regs = WalkRegisters(tape, 0, 4, 2)
@@ -263,12 +264,37 @@ def test_walk_of_n_hops_finishes_and_one_more_raises():
     assert tape.digest() == before
 
 
+@pytest.mark.parametrize("profile", TAPE_PROFILES)
+def test_estimate_dag_raises_when_the_reverse_walks_do_not_retrace(profile):
+    # 0 -> 1 -> 0 -> 2: every walk ends within n hops, but on a cycle the
+    # reverse walks need not retrace the forward ones. A call that returns
+    # has every register back; one that raises left the tape as it was.
+    # From the zero tape the walks do not retrace
+    g = AdjacencyGraph.from_edges(3, [(0, 1), (0, 2), (1, 0)])
+    raised = set()
+    for seed in range(6):
+        tape = make_tape(dag_tape_bits(g, 0.5), profile, seed)
+        before = tape.digest()
+        meter = WorkspaceMeter()
+        try:
+            res = estimate_dag(g, 0, 2, 0.5, tape, meter=meter)
+            assert res.metrics.tape_restored, seed
+            raised.add(False)
+        except WalkCycleError:
+            raised.add(True)
+        assert tape.digest() == before, seed
+        assert meter.bits_in_use == 0, seed
+    if profile == "zeros":
+        assert raised == {True}
+
+
 @pytest.mark.parametrize("T", [0, 1, 5])
 @pytest.mark.parametrize("loops", [False, True])
 def test_lift_out_lists_are_the_views_out_edges(T, loops):
     # the host lists of a lift are its out-edges, built from one
-    # out_neighbors query per base vertex; estimate_general's two batches
-    # read each base vertex once each
+    # out_neighbors query per base vertex; an estimate_dag call on the lift
+    # reads each base vertex once, for its checks, both batches and the
+    # counters, and makes no other query
     g = _graph_with_sinks(random.Random(T), 6)
     log = LoggingGraph(with_sink_loops(g) if loops else g)
     lift = LayeredLiftView(log, T)
@@ -276,10 +302,11 @@ def test_lift_out_lists_are_the_views_out_edges(T, loops):
     assert log.log == [("out_neighbors", v) for v in range(log.n)]
     assert lists == [[lift.outnbr(i, r) for r in range(lift.outdeg(i))]
                      for i in range(lift.n)]
-    log.log.clear()
-    estimate_dag(lift, lift.encode(0, 0), lift.encode(T, log.n - 1), 0.5)
-    read = [q for q in log.log if q[0] == "out_neighbors"]
-    assert read == 2 * [("out_neighbors", v) for v in range(log.n)]
+    for collect in (False, True):
+        log.log.clear()
+        estimate_dag(lift, lift.encode(0, 0), lift.encode(T, log.n - 1), 0.5,
+                     collect=collect)
+        assert log.log == [("out_neighbors", v) for v in range(log.n)]
 
 
 def test_a_register_that_wraps_back_still_counts_as_touched():
@@ -479,10 +506,11 @@ def test_repeated_walks_reverse_in_bulk(k):
     regs = WalkRegisters(tape, 0, g.n, width)
     before = tape.digest()
     values = regs.load()
+    out = _out_lists(g)
     for _ in range(k):
-        _rotor_walks(g, 0, -1, FWD, 1, values, width, [0] * g.n, StepCounter())
+        _rotor_walks(out, 0, -1, FWD, 1, values, width, [0] * g.n, StepCounter())
     for _ in range(k):
-        _rotor_walks(g, 0, -1, REV, 1, values, width, None, StepCounter())
+        _rotor_walks(out, 0, -1, REV, 1, values, width, None, StepCounter())
     regs.write_block(0, values)
     assert tape.digest() == before
 
@@ -658,7 +686,7 @@ def test_stationary_visit_vector_near_fixed_point():
     rng = random.Random(7)
     g = ergodic_graph(rng, 8, extra=2)
     T, delta = 16, 0.1
-    res = estimate_stationary(g, 0, T, delta, collect=True)
+    res = estimate_stationary(g, 0, T, delta)
     c = np.array(res.visit_counts, dtype=float) / res.t_prime
     W = walk_matrix(g)
     WT = np.linalg.matrix_power(W, T)
@@ -702,28 +730,27 @@ def test_stationary_matches_reference_walk():
     widths = set()
     for profile in TAPE_PROFILES:
         for restore in (True, False):
-            for collect in (True, False):
-                for trial in range(4):
-                    g = _ergodic_mixed_width_graph(rng)
-                    widths.update(rotor_widths(g))
-                    v_star, start = rng.randrange(g.n), rng.randrange(g.n)
-                    T, delta = rng.randint(0, 6), rng.choice((0.5, 0.2, 0.1))
-                    seed = rng.randrange(1 << 16)
-                    tape = make_tape(stationary_tape_bits(g), profile, seed)
-                    ref = make_tape(stationary_tape_bits(g), profile, seed)
-                    res = estimate_stationary(g, v_star, T, delta, tape, start=start,
-                                              restore=restore, collect=collect)
-                    want = reference_stationary(g, v_star, T, delta, ref, start=start,
-                                                restore=restore, collect=collect)
-                    got = dict(rho=res.rho, t_prime=res.t_prime,
-                               visit_counts=res.visit_counts,
-                               final_rotors=res.final_rotors,
-                               elapsed_steps=res.metrics.elapsed_steps,
-                               catalytic_bits=res.metrics.catalytic_bits,
-                               tape_restored=res.metrics.tape_restored)
-                    case = (profile, restore, collect, trial)
-                    assert got == want, case
-                    assert tape.snapshot() == ref.snapshot(), case
+            for trial in range(8):
+                g = _ergodic_mixed_width_graph(rng)
+                widths.update(rotor_widths(g))
+                v_star, start = rng.randrange(g.n), rng.randrange(g.n)
+                T, delta = rng.randint(0, 6), rng.choice((0.5, 0.2, 0.1))
+                seed = rng.randrange(1 << 16)
+                tape = make_tape(stationary_tape_bits(g), profile, seed)
+                ref = make_tape(stationary_tape_bits(g), profile, seed)
+                res = estimate_stationary(g, v_star, T, delta, tape, start=start,
+                                          restore=restore)
+                want = reference_stationary(g, v_star, T, delta, ref, start=start,
+                                            restore=restore)
+                got = dict(rho=res.rho, t_prime=res.t_prime,
+                           visit_counts=res.visit_counts,
+                           final_rotors=res.final_rotors,
+                           elapsed_steps=res.metrics.elapsed_steps,
+                           catalytic_bits=res.metrics.catalytic_bits,
+                           tape_restored=res.metrics.tape_restored)
+                case = (profile, restore, trial)
+                assert got == want, case
+                assert tape.snapshot() == ref.snapshot(), case
     assert widths == {1, 2, 3, 4}
 
 
