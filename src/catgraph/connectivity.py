@@ -76,7 +76,10 @@ class _PushProgram:
     of the bank's registers at the positions `_sources[j]` (none for a
     register with no in-neighbor). Every bank has the same layout. With
     k = 2 this is the parity program, with k = T + 1 the layered one.
-    Register `r * stride + v` belongs to vertex v in bank r.
+    Register `r * stride + v` belongs to vertex v in bank r. The program
+    sorts the registers with sources, once, into three lists by source
+    count: one source, two, and three or more; a phase runs one loop per
+    list. Which list a register is in follows from the graph.
 
     The program's reversible state is three counts, each updated only after
     its tape write succeeds: `pushed` phases (always phases 0..pushed-1),
@@ -116,8 +119,12 @@ class _PushProgram:
         self.stride = stride
         self.pushes_per_phase = sum(len(l) for l in sources)
         bank = banks[0]
-        # the registers with sources: position in a bank and the sources
-        self._targets = [(j, srcs) for j, srcs in enumerate(sources) if srcs]
+        # the registers with sources by source count, each a position in a
+        # bank and its sources: one (j, u), two (j, u, w), three or more
+        # (j, srcs); a register without sources is in none
+        self._one = [(j, *srcs) for j, srcs in enumerate(sources) if len(srcs) == 1]
+        self._two = [(j, *srcs) for j, srcs in enumerate(sources) if len(srcs) == 2]
+        self._many = [(j, srcs) for j, srcs in enumerate(sources) if len(srcs) > 2]
         if s not in bank.indices:
             raise ValueError(f"start vertex {s} has no register in bank 0")
         # s's position in bank 0 and its bit position in bank 0's span
@@ -172,10 +179,12 @@ class _PushProgram:
 
         The next bank's new residues are computed on small integers alone:
         each register with sources becomes (old residue +- the sum of its
-        sources' residues) mod q. The bank's new bits are its held high
-        part plus one `pack_lanes` of the new residues (value = a*q + b and
-        only b moves), written whole: a register without sources is
-        written back as it was.
+        sources' residues) mod q. A straight-line loop runs over the
+        registers with one source and one over those with two; the
+        registers with three or more sum theirs in an inner loop. The
+        bank's new bits are its held high part plus one `pack_lanes` of the
+        new residues (value = a*q + b and only b moves), written whole: a
+        register without sources is written back as it was.
         """
         k = len(self.banks)
         r = (i + 1) % k
@@ -188,15 +197,24 @@ class _PushProgram:
             residues = self._hold(r)[0]
         residues = residues.copy()
         q = self.file.modulus
-        # one loop per direction: no sign multiply or negated copy per phase
+        # one loop per source count and direction: no sign multiply, negated
+        # copy or inner loop over one or two sources per phase
         if reverse:
-            for j, srcs in self._targets:
+            for j, u in self._one:
+                residues[j] = (residues[j] - res[u]) % q
+            for j, u, w in self._two:
+                residues[j] = (residues[j] - res[u] - res[w]) % q
+            for j, srcs in self._many:
                 total = residues[j]
                 for u in srcs:
                     total -= res[u]
                 residues[j] = total % q
         else:
-            for j, srcs in self._targets:
+            for j, u in self._one:
+                residues[j] = (residues[j] + res[u]) % q
+            for j, u, w in self._two:
+                residues[j] = (residues[j] + res[u] + res[w]) % q
+            for j, srcs in self._many:
                 total = residues[j]
                 for u in srcs:
                     total += res[u]

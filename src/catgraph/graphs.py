@@ -8,6 +8,7 @@ in-edge access and walk code only out-edge access, matching the oracle split.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 
 from .errors import GraphFormatError
 from .tape import ceil_log2
@@ -137,6 +138,30 @@ def load_graph(text: str) -> AdjacencyGraph:
 def read_graph_file(path: str) -> AdjacencyGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return load_graph(fh.read())
+
+
+def is_acyclic(g: GraphOracle) -> bool:
+    return topological_order(g) is not None
+
+
+def topological_order(g: GraphOracle) -> list[int] | None:
+    """Kahn's algorithm; None when the graph has a cycle."""
+    n = g.n
+    indeg = [0] * n
+    for u in range(n):
+        for i in range(g.outdeg(u)):
+            indeg[g.outnbr(u, i)] += 1
+    queue = deque(v for v in range(n) if indeg[v] == 0)
+    order = []
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for i in range(g.outdeg(u)):
+            w = g.outnbr(u, i)
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return order if len(order) == n else None
 
 
 class SelfLoopView(GraphOracle):

@@ -57,10 +57,10 @@ class DriverRun:
 
     Entering charges the driver's named scalars (each kwarg is a range, as in
     `WorkspaceMeter.charge_scalars`), plus ALU scratch when a register
-    `width` is given, then digests the tape. Leaving releases the charge on
-    every exit path. After the run, `metrics` compares the tape against the
-    entry digest and assembles the RunMetrics; wall time counts from
-    construction.
+    `width` is given, then keeps the tape's bytes. Leaving releases the
+    charge on every exit path. After the run, `metrics` compares the tape
+    against the entry bytes and assembles the RunMetrics; wall time counts
+    from construction.
     """
 
     def __init__(self, tape: CatalyticTape, meter: WorkspaceMeter | None = None,
@@ -75,7 +75,7 @@ class DriverRun:
 
     def __enter__(self) -> "DriverRun":
         self.meter.charge(self._bits)
-        self._digest0 = self.tape.digest()
+        self._entry = self.tape.snapshot()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -87,6 +87,6 @@ class DriverRun:
             wall_time_ms=(time.perf_counter() - self._t0) * 1000.0,
             workspace_peak_bits=self.meter.peak_bits,
             catalytic_bits=catalytic_bits,
-            tape_restored=self.tape.digest() == self._digest0,
+            tape_restored=self.tape.snapshot() == self._entry,
             **fields,
         )

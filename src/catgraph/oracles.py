@@ -13,7 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SinkVertexError
-from .graphs import GraphOracle
+# the two acyclicity helpers need no numpy, so they live in graphs, where
+# the CLI imports them; they stay importable from here
+from .graphs import GraphOracle, is_acyclic, topological_order
 
 EXACT_LIMIT = 20
 
@@ -93,30 +95,6 @@ def zeta_table(g: GraphOracle, s: int, T: int) -> list[list[int]]:
                 total += prev[g.innbr(v, j)]
             cur[v] = total
     return table
-
-
-def is_acyclic(g: GraphOracle) -> bool:
-    return topological_order(g) is not None
-
-
-def topological_order(g: GraphOracle) -> list[int] | None:
-    """Kahn's algorithm; None when the graph has a cycle."""
-    n = g.n
-    indeg = [0] * n
-    for u in range(n):
-        for i in range(g.outdeg(u)):
-            indeg[g.outnbr(u, i)] += 1
-    queue = deque(v for v in range(n) if indeg[v] == 0)
-    order = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for i in range(g.outdeg(u)):
-            w = g.outnbr(u, i)
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return order if len(order) == n else None
 
 
 def dag_reach_probabilities(g: GraphOracle, s: int) -> list[Fraction]:

@@ -137,7 +137,8 @@ class CatalyticTape:
         return h.hexdigest()
 
     def snapshot(self) -> bytes:
-        """Full copy of the bit array, for debugging-grade comparisons."""
+        """Full copy of the bit array; `DriverRun` compares the tape with
+        the one it takes on entry."""
         return bytes(self._buf)
 
     def restore(self, snap: bytes) -> None:

@@ -344,6 +344,71 @@ def test_held_banks_match_the_two_read_kernel(layered):
     assert set(held_checks) == {False, True}
 
 
+@pytest.mark.parametrize("layered", [False, True], ids=["parity", "layered"])
+def test_source_count_lists_match_the_reference_kernel(layered):
+    # graphs with registers of 0 (layered only), 1, 2 and 3 or more sources
+    # (a parity register's sources are itself and its in-neighbors), pushed
+    # and reversed under the held-bank test's q families on all three tape
+    # profiles: after every phase the tape equals that of a twin whose
+    # phases run the reference kernel
+    rng = random.Random(29 + layered)
+    nonempty = [False] * 3
+    for trial in range(24):
+        family = trial % 4
+        if family == 3:
+            width = rng.randint(2, 40)
+            q = 1 << width
+        else:
+            q = (rng.randint(2, 9), rng.randrange(11, 5001, 2),
+                 1 << rng.randint(17, 40))[family]
+            width = q.bit_length() + 12
+        profile = TAPE_PROFILES[trial // 4 % 3]
+        n = rng.randint(5, 9)
+        # in-degrees: every source count occurs, the rest at random
+        indeg = [0, 1, 2, rng.randint(3, n - 1)][:4 if layered else 3]
+        indeg += [rng.randint(0, n - 1) for _ in range(n - len(indeg))]
+        rng.shuffle(indeg)
+        edges = [(u, v) for v, d in enumerate(indeg)
+                 for u in rng.sample([u for u in range(n) if u != v], d)]
+        g = AdjacencyGraph.from_edges(n, edges)
+        T = rng.randint(1, 4)
+        s = rng.randrange(n)
+        count = (T + 1) * n if layered else 2 * n
+        tape = make_tape(count * width, profile, trial)
+        valid_file(tape, 0, count, width, q)
+
+        def build():
+            copy = CatalyticTape(tape.nbits, bytearray(tape.snapshot()))
+            file = allocate_registers(copy, 0, count, width, q)
+            if layered:
+                return LayeredPushState(g, s, T, file)
+            return ParityProgram(g, s, T, file)
+
+        def drive(prog):
+            log = []
+            prog.pause = lambda stage: log.append(
+                (stage, prog.file.tape.snapshot()))
+            for b in (1, 0):
+                prog.run_push(b)
+                prog.run_reverse(b)
+            return log, prog.steps.n
+
+        prog = build()
+        got = drive(prog)
+        assert got == drive(with_reference_kernel(build())), (trial, q, profile)
+        assert got[0][-1][1] == tape.snapshot(), trial
+        # the lists hold every register with sources once, with its sources
+        listed = sorted([(j, list(srcs)) for j, *srcs in prog._one + prog._two]
+                        + [(j, list(srcs)) for j, srcs in prog._many])
+        assert listed == [(j, list(srcs))
+                          for j, srcs in enumerate(prog._sources) if srcs]
+        # registers without sources: the layered program's alone
+        assert any(not srcs for srcs in prog._sources) == layered
+        for k, lst in enumerate((prog._one, prog._two, prog._many)):
+            nonempty[k] = nonempty[k] or bool(lst)
+    assert all(nonempty)
+
+
 # --- two-bank nonzero ---------------------------------------------------------
 
 
