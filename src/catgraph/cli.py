@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 from . import connectivity, walks
@@ -214,6 +213,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise GraphFormatError("--steps must be nonnegative")
         trials = range(args.trials)
         if getattr(args, "parallel", False) and args.trials > 1:
+            # concurrent.futures.process takes about 20 ms to import: only
+            # --parallel pays for it
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor() as pool:
                 results = list(pool.map(_trial, repeat(args), repeat(g), trials))
         else:

@@ -68,6 +68,11 @@ class PausePoint(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _power_of_two_mask(q: int) -> int | None:
+    """q - 1 if q is a power of two (then x & (q - 1) == x % q), else None."""
+    return q - 1 if q & (q - 1) == 0 else None
+
+
 class _PushProgram:
     """Add b at register s, push T phases over k banks; undo by the reverse.
 
@@ -112,6 +117,7 @@ class _PushProgram:
         self.s = s
         self.T = T
         self.file = file
+        self._mask = _power_of_two_mask(file.modulus)
         self.steps = steps or StepCounter()
         self.pause = pause
         self.banks = banks
@@ -168,9 +174,11 @@ class _PushProgram:
         return self.bank_registers * self.file.width
 
     def use_modulus(self, q: int) -> None:
-        """Run with modulus q from now on, over the same registers."""
+        """Run with modulus q from now on, over the same registers; the
+        phases reduce with `& (q - 1)` if q is a power of two."""
         f = self.file
         self.file = allocate_registers(f.tape, f.base, f.count, f.width, q)
+        self._mask = _power_of_two_mask(q)
         self._res = [None] * len(self.banks)
         self._high = [None] * len(self.banks)
 
@@ -184,7 +192,10 @@ class _PushProgram:
         registers with three or more sum theirs in an inner loop. The
         bank's new bits are its held high part plus one `pack_lanes` of the
         new residues (value = a*q + b and only b moves), written whole: a
-        register without sources is written back as it was.
+        register without sources is written back as it was. A residue is
+        reduced with `& (q - 1)` when q is a power of two (every
+        `connect_det` phase) and with `% q` otherwise: the same value, but
+        the mask is linear in the residue's bits where `%` divides.
         """
         k = len(self.banks)
         r = (i + 1) % k
@@ -196,29 +207,53 @@ class _PushProgram:
         if residues is None:
             residues = self._hold(r)[0]
         residues = residues.copy()
-        q = self.file.modulus
-        # one loop per source count and direction: no sign multiply, negated
-        # copy or inner loop over one or two sources per phase
-        if reverse:
-            for j, u in self._one:
-                residues[j] = (residues[j] - res[u]) % q
-            for j, u, w in self._two:
-                residues[j] = (residues[j] - res[u] - res[w]) % q
-            for j, srcs in self._many:
-                total = residues[j]
-                for u in srcs:
-                    total -= res[u]
-                residues[j] = total % q
+        # one loop per source count, direction and reduction: no sign
+        # multiply, negated copy or inner loop over one or two sources per
+        # phase, and no call per register to choose `& m` or `% q`
+        m = self._mask
+        if m is not None:
+            if reverse:
+                for j, u in self._one:
+                    residues[j] = (residues[j] - res[u]) & m
+                for j, u, w in self._two:
+                    residues[j] = (residues[j] - res[u] - res[w]) & m
+                for j, srcs in self._many:
+                    total = residues[j]
+                    for u in srcs:
+                        total -= res[u]
+                    residues[j] = total & m
+            else:
+                for j, u in self._one:
+                    residues[j] = (residues[j] + res[u]) & m
+                for j, u, w in self._two:
+                    residues[j] = (residues[j] + res[u] + res[w]) & m
+                for j, srcs in self._many:
+                    total = residues[j]
+                    for u in srcs:
+                        total += res[u]
+                    residues[j] = total & m
         else:
-            for j, u in self._one:
-                residues[j] = (residues[j] + res[u]) % q
-            for j, u, w in self._two:
-                residues[j] = (residues[j] + res[u] + res[w]) % q
-            for j, srcs in self._many:
-                total = residues[j]
-                for u in srcs:
-                    total += res[u]
-                residues[j] = total % q
+            q = self.file.modulus
+            if reverse:
+                for j, u in self._one:
+                    residues[j] = (residues[j] - res[u]) % q
+                for j, u, w in self._two:
+                    residues[j] = (residues[j] - res[u] - res[w]) % q
+                for j, srcs in self._many:
+                    total = residues[j]
+                    for u in srcs:
+                        total -= res[u]
+                    residues[j] = total % q
+            else:
+                for j, u in self._one:
+                    residues[j] = (residues[j] + res[u]) % q
+                for j, u, w in self._two:
+                    residues[j] = (residues[j] + res[u] + res[w]) % q
+                for j, srcs in self._many:
+                    total = residues[j]
+                    for u in srcs:
+                        total += res[u]
+                    residues[j] = total % q
         bank = self.banks[r]
         bits = self._high[r] + bank.pack_lanes(residues)
         self.file.tape.write_bits(bank.offset, bank.bits, bits)

@@ -898,10 +898,11 @@ def test_revertible_leaves_no_reference_cycles():
         gc.enable()
 
 
-def _two_rings(k):
-    """Two disjoint directed k-cycles; no path from 0 to k."""
+def _two_rings(k, bridge=False):
+    """Two disjoint directed k-cycles; no path from 0 to k unless `bridge`
+    adds the edge k-1 -> k."""
     edges = [(off + i, off + (i + 1) % k) for off in (0, k) for i in range(k)]
-    return AdjacencyGraph.from_edges(2 * k, edges), 0, k
+    return AdjacencyGraph.from_edges(2 * k, edges + [(k - 1, k)] * bridge), 0, k
 
 
 def test_exact_step_counts_on_two_rings():
@@ -925,6 +926,27 @@ def test_exact_step_counts_on_two_rings():
     assert ans.metrics.elapsed_steps == 257_152
     assert ans.metrics.workspace_peak_bits == 250
     assert connect_det(*_two_rings(2)).metrics.workspace_peak_bits == 87
+
+
+@pytest.mark.parametrize("k, runs, steps", [(12, 28, 32_284), (16, 44, 90_156)],
+                         ids=["n24", "n32"])
+def test_det_on_the_bench_rings_counts_exact_steps(k, runs, steps):
+    # the bench's det rings, n = 24 and 32: banks of 24 x 112 and
+    # 32 x 162 bits (the second past PACK_FOLD_BITS, so its phases join
+    # with the OR fold), reduced with the power-of-two mask; grouped
+    # extraction in 7 and 11 groups of four runs of 1 + n(n+m) steps
+    g, s, t = _two_rings(k)
+    n, m = g.n, g.edge_count()
+    assert steps == runs * (1 + n * (n + m))
+    for bridge, verdict in ((False, "no-path"), (True, "path")):
+        g, s, t = _two_rings(k, bridge)
+        tape = make_tape(connect_det_tape_bits(n), "random", k)
+        entry = tape.snapshot()
+        ans = connect_det(g, s, t, tape=tape)
+        assert ans.verdict == verdict
+        assert ans.metrics.tape_restored and tape.snapshot() == entry
+        if not bridge:
+            assert ans.metrics.elapsed_steps == steps
 
 
 def _tape_io(driver, g, s, t):

@@ -13,6 +13,7 @@ from catgraph.errors import (
 from catgraph.connectivity import LayeredPushState, ParityProgram
 from catgraph.graphs import AdjacencyGraph
 from catgraph.tape import (
+    PACK_FOLD_BITS,
     CatalyticTape,
     RegisterSpan,
     WorkspaceMeter,
@@ -565,16 +566,22 @@ def test_write_bits_rejects_a_bad_value_or_span_unchanged(span, rng, data):
 
 @st.composite
 def _packed_layouts(draw):
-    """(tape, span) for a `RegisterSpan` over a random tape, with 1 to 70
-    bits per register at any offset. Either a file's span of one width or
-    a span of per-register widths cut from `RegisterSpan.packed`; the
-    listed registers are a random subset in random order, all of them for
-    a full span."""
-    count = draw(st.integers(1, 8), label="count")
-    if draw(st.booleans(), label="uniform"):
-        widths = [draw(st.integers(1, 70), label="width")] * count
+    """(tape, span) for a `RegisterSpan` over a random tape at any offset:
+    narrow, 1 to 8 registers of 1 to 70 bits, or wide, 7 to 40 registers
+    of up to 400 bits that together pass `PACK_FOLD_BITS`, so that
+    `pack_lanes` joins with `sum` or with the OR fold. Either a file's span
+    of one width or a span of per-register widths cut from
+    `RegisterSpan.packed`; the listed registers are a random subset in
+    random order, all of them for a full span."""
+    if draw(st.booleans(), label="wide"):
+        count = draw(st.integers(7, 40), label="count")
+        lo, hi = PACK_FOLD_BITS // count + 1, 400
     else:
-        widths = draw(st.lists(st.integers(1, 70), min_size=count, max_size=count),
+        count, lo, hi = draw(st.integers(1, 8), label="count"), 1, 70
+    if draw(st.booleans(), label="uniform"):
+        widths = [draw(st.integers(lo, hi), label="width")] * count
+    else:
+        widths = draw(st.lists(st.integers(lo, hi), min_size=count, max_size=count),
                       label="widths")
     offset = draw(st.integers(0, 15), label="offset")
     order = draw(st.permutations(range(count)), label="order")
@@ -639,6 +646,14 @@ def test_pack_rejects_a_bad_value_or_count_unchanged(layout, data):
         values.append(0)
     with pytest.raises(ValueError):
         span.pack(values)
+
+
+def test_pack_of_a_span_listing_no_register_is_zero():
+    # both joins start from 0, the bits of a span that lists no register
+    for bits in (0, PACK_FOLD_BITS, PACK_FOLD_BITS + 1, 40_000):
+        span = RegisterSpan((), 3, bits, [], 8)
+        assert span.pack([]) == span.pack_lanes([]) == 0
+        assert span.unpack((1 << bits) - 1) == []
 
 
 def test_read_group_rejects_a_group_outside_the_register():
