@@ -26,12 +26,12 @@ class GraphFormatError(CatgraphError):
 
 
 class WalkCycleError(CatgraphError):
-    """A walk exceeded n steps, or reverse walks did not retrace the
-    forward ones: neither can happen on acyclic input.
+    """A walk exceeded n steps, or a walk driver found a cycle reachable
+    from its start vertex: neither can happen on acyclic input.
 
-    A driver writes its registers back only after its walks finished (and,
-    in `estimate_dag`, retraced), so when this fires the tape is left as
-    it was.
+    `estimate_dag` raises it before it touches the tape, and `walk_once`
+    writes its registers back only after its walk finished, so when this
+    fires the tape is left as it was.
     """
 
 

@@ -82,11 +82,29 @@ class DriverRun:
         self.meter.release(self._bits)
 
     def metrics(self, catalytic_bits: int, **fields) -> RunMetrics:
+        """The run's RunMetrics. A tape that differs from its entry bytes
+        adds `extra["restore_diff"]` (see `restore_diff`); a restored run's
+        record has no such field."""
+        wall_time_ms = (time.perf_counter() - self._t0) * 1000.0
+        exit_bytes = self.tape.snapshot()
+        restored = exit_bytes == self._entry
+        if not restored:
+            fields["extra"] = {**fields.get("extra", {}),
+                               "restore_diff": restore_diff(self._entry, exit_bytes)}
         return RunMetrics(
             elapsed_steps=self.steps.n,
-            wall_time_ms=(time.perf_counter() - self._t0) * 1000.0,
+            wall_time_ms=wall_time_ms,
             workspace_peak_bits=self.meter.peak_bits,
             catalytic_bits=catalytic_bits,
-            tape_restored=self.tape.snapshot() == self._entry,
+            tape_restored=restored,
             **fields,
         )
+
+
+def restore_diff(entry: bytes, exit_bytes: bytes) -> dict:
+    """Where two snapshots of one tape differ: how many bits differ, and
+    the index of the first. Tape bit i is bit i of the bytes read as one
+    little-endian integer."""
+    diff = int.from_bytes(entry, "little") ^ int.from_bytes(exit_bytes, "little")
+    return {"differing_bits": diff.bit_count(),
+            "first_bit": (diff & -diff).bit_length() - 1}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .errors import SinkVertexError, WalkCycleError
 from .graphs import GraphOracle, LayeredLiftView, with_sink_loops
@@ -122,6 +123,30 @@ def _out_lists(g: GraphOracle) -> list[list[int]]:
     return lists
 
 
+def _reaches_cycle(out: list[list[int]], s: int) -> bool:
+    """Whether a cycle can be reached from s over the out-lists `out`.
+
+    An iterative depth-first search: a cycle is an edge into a vertex that
+    is still on the search path. It reads only `out`, so it queries no graph.
+    """
+    state = bytearray(len(out))  # 0 unseen, 1 on the path, 2 finished
+    state[s] = 1
+    path = [(s, iter(out[s]))]
+    while path:
+        v, rest = path[-1]
+        for w in rest:
+            if state[w] == 1:
+                return True
+            if not state[w]:
+                state[w] = 1
+                path.append((w, iter(out[w])))
+                break
+        else:
+            state[v] = 2
+            path.pop()
+    return False
+
+
 def _rotor_walks(out: list[list[int]], s: int, t: int, mode: str, walks: int,
                  values: list[int], width: int, counts: list[int] | None,
                  steps: StepCounter) -> tuple[int, int]:
@@ -130,10 +155,15 @@ def _rotor_walks(out: list[list[int]], s: int, t: int, mode: str, walks: int,
 
     Returns how many walks ended at t and the vertex the last walk ended
     at (s when there is no walk). Every FWD and REV batch of the
-    estimators runs through this one function: a forward loop, which adds
-    each departure from v to counts[v], and a reverse loop, which keeps no
-    counts. A walk about to take hop len(out) + 1 raises WalkCycleError
-    and leaves `values` half walked.
+    estimators runs through this one function.
+
+    No cycle may be reachable from s in `out`: `estimate_dag` checks that
+    once per call, and a lift has none. Then a walk leaves each vertex at
+    most once and moves that vertex's register by exactly one, so the hop
+    loops keep no hop guard and count nothing. Over a chunk of at most
+    2**width - 1 walks, the departures from v are its register's change
+    mod 2**width (negated in REV): the kernel adds them to counts[v] when
+    `counts` is given, and their sum to `steps`, once per chunk.
 
     The kernel queries no graph: `out` is the host-side copy that
     `_out_lists` builds once per driver call, so a lift is walked as a
@@ -142,40 +172,38 @@ def _rotor_walks(out: list[list[int]], s: int, t: int, mode: str, walks: int,
     """
     deg = [len(nb) for nb in out]
     mask = (1 << width) - 1
-    n = len(out)
     d0 = deg[s]
     v = s
-    reach = hops = 0
-    if mode == FWD:
-        for _ in range(walks):
-            v, d, h = s, d0, 0
-            while d:
-                if h == n:
-                    raise WalkCycleError(_CYCLE)
-                x = values[v]
-                values[v] = (x + 1) & mask
-                counts[v] += 1
-                v = out[v][x % d]
-                d = deg[v]
-                h += 1
-            if v == t:
-                reach += 1
-            hops += h
-    else:
-        for _ in range(walks):
-            v, d, h = s, d0, 0
-            while d:
-                if h == n:
-                    raise WalkCycleError(_CYCLE)
-                x = (values[v] - 1) & mask
-                values[v] = x
-                v = out[v][x % d]
-                d = deg[v]
-                h += 1
-            if v == t:
-                reach += 1
-            hops += h
-    steps.n += hops
+    reach = 0
+    # a chunk of 2**width walks could leave a vertex 2**width times, a change of 0
+    for done in range(0, walks, mask):
+        chunk = range(min(mask, walks - done))
+        before = values[:]
+        if mode == FWD:
+            for _ in chunk:
+                v, d = s, d0
+                while d:
+                    x = values[v]
+                    values[v] = (x + 1) & mask
+                    v = out[v][x % d]
+                    d = deg[v]
+                if v == t:
+                    reach += 1
+            moved = [(y - x) & mask for x, y in zip(before, values)]
+        else:
+            for _ in chunk:
+                v, d = s, d0
+                while d:
+                    x = (values[v] - 1) & mask
+                    values[v] = x
+                    v = out[v][x % d]
+                    d = deg[v]
+                if v == t:
+                    reach += 1
+            moved = [(x - y) & mask for x, y in zip(before, values)]
+        if counts is not None:
+            counts[:] = map(add, counts, moved)
+        steps.n += sum(moved)
     return reach, v
 
 
@@ -223,27 +251,38 @@ def walk_once(
 ) -> int:
     """Run a single rotor walk against the tape; returns the sink vertex.
 
-    The registers are written back only when the walk finishes, so a walk
-    that raises WalkCycleError leaves the tape as it was.
+    It serves any graph, so unlike the batch kernel its loop keeps a hop
+    guard: a walk about to take hop n + 1 raises WalkCycleError. The loop
+    counts each departure, so a register that wraps back to its value still
+    counts as touched. The registers are written back only when the walk
+    finishes, so a walk that raises WalkCycleError leaves the tape as it was.
     """
     if mode not in (FWD, REV):
         raise ValueError(f"mode must be {FWD!r} or {REV!r}")
     out = _out_lists(g)
     values = regs.load()
     before = list(values)
+    mask = (1 << regs.width) - 1
     counts = [0] * g.n
-    _, end = _rotor_walks(out, s, -1, mode, 1, values, regs.width, counts,
-                          StepCounter())
-    if mode == REV:
-        # the reverse loop keeps no counts; on a DAG a walk leaves each
-        # register at most once, so the registers it left are those it moved
-        counts = [int(x != y) for x, y in zip(before, values)]
+    v, hops = s, 0
+    while out[v]:
+        if hops == g.n:
+            raise WalkCycleError(_CYCLE)
+        if mode == FWD:
+            x = values[v]
+            values[v] = (x + 1) & mask
+        else:
+            x = values[v] = (values[v] - 1) & mask
+        counts[v] += 1
+        v = out[v][x % len(out[v])]
+        hops += 1
     regs.mark_touched([i for i, c in enumerate(counts) if c])
     if counters is not None:
+        # a REV walk's departures from v read values[v], values[v] + 1, ...
         _add_counters(counters, out, s, 1,
                       before if mode == FWD else values, counts, regs.width)
     regs.flush(values)
-    return end
+    return v
 
 
 @dataclass
@@ -275,10 +314,10 @@ def estimate_dag(
 
     Runs K = ceil(2m/eps) forward walks counting arrivals at t, then K
     reverse walks to undo every register change. The graph is read once,
-    by `_out_lists`, and both batches walk those lists. Non-acyclic input
-    raises WalkCycleError: from the hop guard, or after both batches when
-    the reverse walks did not bring every register back. The registers are
-    written back only after that check, so the tape is then left as it was.
+    by `_out_lists`, and both batches walk those lists. Input with a cycle
+    reachable from s raises WalkCycleError from one search of those lists,
+    before the meter or the tape is touched. Without one, the reverse
+    batch retraces the forward walks and leaves every register as loaded.
     """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"s={s}, t={t} out of range for {g.n} vertices")
@@ -288,10 +327,14 @@ def estimate_dag(
     m = sum(map(len, out))
     K = simulation_count(m, eps)
     width = register_width(K)
+    if _reaches_cycle(out, s):
+        raise WalkCycleError("a cycle is reachable from s; input graph is not a DAG")
     if tape is None:
         tape = CatalyticTape.zeros(g.n * width)
     regs = WalkRegisters(tape, 0, g.n, width)
     counts = [0] * g.n
+    # hop_guard stays charged: the modelled machine counts each walk's hops
+    # against n, and the cycle check only proves that the count cannot pass it
     with DriverRun(
         tape, meter, width=width, vertex=g.n,
         edge_choice=max(map(len, out), default=0) + 1,
@@ -300,12 +343,7 @@ def estimate_dag(
         first = regs.load()
         values = list(first)
         n_reach, _ = _rotor_walks(out, s, t, FWD, K, values, width, counts, run.steps)
-        # on a DAG the reverse batch retraces the forward walks, so it
-        # touches no other register and leaves every one as loaded
         _rotor_walks(out, s, t, REV, K, values, width, None, run.steps)
-        if values != first:
-            raise WalkCycleError(
-                "reverse walks did not retrace the forward ones; input graph has a cycle")
         touched = len(counts) - counts.count(0)
         if touched:
             regs.flush(values)

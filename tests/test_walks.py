@@ -6,7 +6,7 @@ import pytest
 
 from catgraph.errors import SinkVertexError, WalkCycleError
 from catgraph.graphs import AdjacencyGraph, LayeredLiftView, with_sink_loops
-from catgraph.metrics import StepCounter
+from catgraph.metrics import DriverRun, StepCounter
 from catgraph.oracles import (
     dag_reach_probabilities,
     mixing_error,
@@ -236,6 +236,127 @@ def test_walk_kernel_matches_reference_walks():
         if g is not log:
             lifted_steps += got[7]
     assert lifted_steps > 0
+
+
+def _reference_departures(g, s, t, mode, K, width, values):
+    """K reference walks in `mode`: arrivals at t, the last end vertex,
+    departures per vertex and steps; `values` is walked in place."""
+    counters = VisitCounters.for_graph(g)
+    steps = StepCounter()
+    ends = [reference_walk(g, s, mode, values, width, counters, None, steps)
+            for _ in range(K)]
+    return (ends.count(t), ends[-1] if ends else s,
+            [sum(row) for row in counters.transitions], steps.n)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_walk_kernel_at_the_chunk_edges(width):
+    # the kernel counts departures from register changes over chunks of
+    # 2**width - 1 walks; at K = 2**width and past it, s is left more often
+    # than a register can tell in one chunk. Both directions, with counts
+    M = 1 << width
+    rng = random.Random(60 + width)
+    cases = []
+    for _ in range(12):
+        g = random_dag(rng, rng.randint(2, 10))
+        s = rng.choice([v for v in range(g.n) if g.outdeg(v)] or [0])
+        cases.append((g, s))
+    for T in (1, 3):
+        for _ in range(6):
+            lift = LayeredLiftView(
+                with_sink_loops(_graph_with_sinks(rng, rng.randint(2, 6))), T)
+            cases.append((lift, lift.encode(0, rng.randrange(lift.base_n))))
+    left_every_walk = 0
+    for g, s in cases:
+        out = _out_lists(g)
+        left_every_walk += bool(out[s])
+        sinks = [v for v in range(g.n) if not out[v]]
+        for K in (M - 1, M, M + 1, 3 * M):
+            init = [rng.randrange(M) for _ in range(g.n)]
+            t = rng.choice(sinks)
+            values, want_values = list(init), list(init)
+            for mode in (FWD, REV):
+                counts, steps = [0] * g.n, StepCounter()
+                reach, end = _rotor_walks(out, s, t, mode, K, values, width,
+                                          counts, steps)
+                want = _reference_departures(g, s, t, mode, K, width, want_values)
+                assert (reach, end, counts, steps.n) == want, (g.n, s, K, mode)
+                assert values == want_values, (g.n, s, K, mode)
+            assert values == init
+    assert left_every_walk == len(cases)
+
+
+def test_walk_once_matches_a_one_walk_kernel_batch():
+    # on a DAG the single-walk loop and a kernel batch of one walk end at
+    # the same sink, move the same registers and count the same departures
+    rng = random.Random(62)
+    for trial in range(30):
+        g = random_dag(rng, rng.randint(2, 10))
+        width = rng.randint(1, 4)
+        s = rng.randrange(g.n)
+        tape = make_tape(g.n * width, TAPE_PROFILES[trial % 3], trial)
+        out = _out_lists(g)
+        for mode in (FWD, REV):
+            regs = WalkRegisters(tape, 0, g.n, width)
+            values = regs.load()
+            first = list(values)
+            counts = [0] * g.n
+            _, want_end = _rotor_walks(out, s, -1, mode, 1, values, width,
+                                       counts, StepCounter())
+            want = VisitCounters.for_graph(g)
+            _add_counters(want, out, s, 1, first if mode == FWD else values,
+                          counts, width)
+            got = VisitCounters.for_graph(g)
+            assert walk_once(g, s, mode, regs, got) == want_end, (trial, mode)
+            assert regs.load() == values, (trial, mode)
+            assert got == want, (trial, mode)
+            assert regs.touched_bits == sum(map(bool, counts)) * width
+
+
+# 0 -> 1 -> 2 -> 1 is a cycle reachable from 0; 4 -> 4 is a self-loop
+_CYCLIC_FROM_S = [
+    AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 1), (0, 3)]),
+    AdjacencyGraph.from_edges(3, [(0, 1), (0, 2), (1, 0)]),
+    AdjacencyGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 4)]),
+]
+
+
+@pytest.mark.parametrize("g", _CYCLIC_FROM_S)
+@pytest.mark.parametrize("profile", TAPE_PROFILES)
+def test_a_cycle_reachable_from_s_raises_before_the_meter_or_the_tape(g, profile):
+    # the first tape read, tape snapshot and meter charge each raise
+    # InjectedFault, so a call that walked into the cycle fails instead of
+    # looping forever
+    sink = next(v for v in range(g.n) if g.outdeg(v) == 0)
+    tape = make_tape(dag_tape_bits(g, 0.5), profile, 5)
+    before = tape.snapshot()
+    meter = WorkspaceMeter()
+    with (fail_at(CatalyticTape, "read_bits", 0),
+          fail_at(CatalyticTape, "snapshot", 0),
+          fail_at(WorkspaceMeter, "charge", 0)):
+        with pytest.raises(WalkCycleError):
+            estimate_dag(g, 0, sink, 0.5, tape, meter=meter)
+    assert meter.bits_in_use == meter.peak_bits == 0
+    assert tape.snapshot() == before
+
+
+@pytest.mark.parametrize("profile", TAPE_PROFILES)
+def test_a_cycle_unreachable_from_s_leaves_the_estimate_alone(profile):
+    # 3 <-> 4 is a cycle, but no walk from 0 reaches it; m = 9 and
+    # eps = 0.5625 give K = 32 = 2**5 walks, two kernel chunks
+    g = AdjacencyGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (1, 5), (2, 5),
+                                      (2, 6), (3, 4), (4, 3), (4, 5)])
+    tape = make_tape(dag_tape_bits(g, 0.5625), profile, 4)
+    res = estimate_dag(g, 0, 5, 0.5625, tape, collect=True)
+    assert (res.rho, res.n_reach, res.walks, res.width) == (0.625, 20, 32, 5)
+    assert res.counters.visits == [32, 16, 24, 0, 0, 20, 12]
+    assert res.counters.transitions == [[16, 16], [8, 8], [12, 12], [0],
+                                        [0, 0], [], []]
+    assert res.metrics.to_dict(stable=True) == {
+        "schema": 1, "verdict": None, "estimate": 0.625, "elapsed_steps": 144,
+        "wall_time_ms": 0.0, "workspace_peak_bits": 63, "catalytic_bits": 15,
+        "tape_restored": True, "aborted": False, "normalizations": [],
+        "walks": 32}
 
 
 def test_walk_of_n_hops_finishes_and_one_more_raises():
@@ -713,6 +834,40 @@ def test_stationary_without_restore_leaves_unvisited_rotors_alone():
     after = rot.snapshot_spans()
     assert after[2] == before[2]
     assert res.metrics.catalytic_bits <= rot.widths[0] + rot.widths[1]
+
+
+def test_an_unrestored_run_says_where_the_tape_differs():
+    # restore=False leaves the walked rotors as walked: restore_diff gives
+    # the count of differing bits and the first one, as a bit-by-bit compare
+    # of the snapshots does. A restored run's record has no such field
+    rng = random.Random(29)
+    firsts = set()
+    for trial in range(12):
+        g = _ergodic_mixed_width_graph(rng)
+        tape = make_tape(stationary_tape_bits(g), TAPE_PROFILES[trial % 3], trial)
+        before = [tape.read_bit(i) for i in range(tape.nbits)]
+        res = estimate_stationary(g, rng.randrange(g.n), 3, 0.2, tape,
+                                  start=rng.randrange(g.n), restore=False)
+        diff = [i for i in range(tape.nbits) if tape.read_bit(i) != before[i]]
+        record = res.metrics.to_dict(stable=True)
+        if not diff:
+            assert res.metrics.tape_restored and "restore_diff" not in record
+            continue
+        assert not res.metrics.tape_restored
+        assert record["restore_diff"] == {"differing_bits": len(diff),
+                                          "first_bit": diff[0]}, trial
+        firsts.add(diff[0])
+        again = estimate_stationary(g, 0, 3, 0.2, tape)
+        assert again.metrics.tape_restored
+        assert "restore_diff" not in again.metrics.to_dict(stable=True)
+    assert len(firsts) > 2
+    # tape bit i is bit i % 8 of byte i // 8
+    tape = make_tape(64, "random", 7)
+    with DriverRun(tape) as run:
+        tape.write_bits(13, 3, tape.read_bits(13, 3) ^ 0b101)
+        tape.write_bits(40, 1, tape.read_bits(40, 1) ^ 1)
+    assert run.metrics(0, extra={"walks": 1}).extra == {
+        "walks": 1, "restore_diff": {"differing_bits": 3, "first_bit": 13}}
 
 
 def _ergodic_mixed_width_graph(rng):
