@@ -385,20 +385,6 @@ class ParityProgram(_PushProgram):
         super().__init__(s, T, file, steps, banks, sources, n)
 
 
-def st_nonzero_mod(
-    prog: ParityProgram, t: int, *, meter: WorkspaceMeter | None = None
-) -> int:
-    """Reachability witness mod q via a built two-bank program, q its modulus.
-
-    Requires the program's 2n registers valid for q; restores the tape before
-    returning. The underlying integer is nonzero exactly when an s->t path of
-    length <= T exists, so a nonzero residue proves a path; the converse
-    holds when q exceeds the (n+1)^T value bound, and otherwise with good
-    probability over a random q.
-    """
-    return _extract_residue(prog, prog.answer_index(t), meter)
-
-
 class LayeredPushState(_PushProgram):
     """T+1 banks R[i*n + v], one per layer; phase i pushes layer i into i+1.
 
@@ -484,42 +470,37 @@ def revert_query(state: LayeredPushState, reg: tuple[int, int]) -> int:
     return state.original_value(i, v)
 
 
-def st_count_mod(
-    state: LayeredPushState, t: int, *, meter: WorkspaceMeter | None = None
-) -> int:
-    """(number of length-T s->t paths) mod q via a built layered program.
-
-    q is the program's modulus. Requires its relevant registers valid for q;
-    restores the tape before returning.
-    """
-    return _extract_residue(state, state.answer_index(t), meter)
-
-
 # ---------------------------------------------------------------------------
 # Residue extraction
 # ---------------------------------------------------------------------------
 
 
-def _extract_residue(
-    prog: _PushProgram,
-    idx: int,
-    meter: WorkspaceMeter | None,
+def st_nonzero_mod(
+    prog: _PushProgram, t: int, *, meter: WorkspaceMeter | None = None
 ) -> int:
-    """Difference of register idx's residues across b=1 and b=0 runs, mod q.
+    """Register t of the answer bank after the b=1 run minus after the b=0
+    run, mod q, the program's modulus; the tape comes back.
 
-    Each pass runs push b=0, read, reverse, push b=1, read, reverse. Small
-    (or non-power-of-two) q takes one streaming pass, reading the residue
-    mod q: the meter charges the state of a read streamed GROUP_BITS at a
-    time (acc0, acc1, group, b, position), and the simulation reads the
-    register once. Wide power-of-two q makes the register wider than
-    anything we may hold, so pass g reads group g of both runs and the
-    difference is assembled GROUP_BITS at a time with a borrow.
+    A parity program's residue is the path witness: nonzero proves an s->t
+    path of length <= T, and zero proves none when q exceeds the (n+1)^T
+    value bound, otherwise with good probability over a random q. A
+    layered program's residue is the number of length-T s->t paths.
+    Requires the bank registers valid for q.
 
-    Any exception, from a tape write, a pause hook or a read, unwinds the
-    program before it propagates, so the registers are restored; a rejected
+    Pass g runs push, read, reverse for b=0 and then for b=1 and adds
+    (read1 - read0) << GROUP_BITS*g to one difference, reduced mod q once.
+    A wide power-of-two q takes a pass per GROUP_BITS-bit group of the
+    register, and the meter charges a grouped difference with a borrow
+    (group0, group1, borrow, b, group_index); any other q takes one pass
+    reading the residue, charged as a read streamed GROUP_BITS at a time
+    (acc0, acc1, group, b, position). The simulation sums the group
+    differences, with no borrow, as the streaming read reads whole values.
+
+    Any exception unwinds the program before it propagates; a rejected
     meter charge comes first and leaves nothing to undo.
     """
     file = prog.file
+    idx = prog.answer_index(t)
     q, width = file.modulus, file.width
     kq = q.bit_length() - 1
     grouped = q & (q - 1) == 0 and kq > GROUP_BITS
@@ -533,29 +514,28 @@ def _extract_residue(
                        position=width + 1)
     charged = 0 if meter is None else meter.charge_scalars(**scalars)
     try:
-        out = borrow = 0
+        diff = 0
         for g in range(passes):
-            reads = []
             for b in (0, 1):
                 prog.run_push(b)
-                reads.append(file.read_group(idx, g) if grouped
-                             else file.stream_residue(idx))
+                read = (file.read_group(idx, g) if grouped
+                        else file.stream_residue(idx))
                 prog.run_reverse(b)
-            if not grouped:
-                return (reads[1] - reads[0]) % q
-            lo = g * GROUP_BITS
-            gmask = (1 << min(GROUP_BITS, kq - lo)) - 1
-            diff = (reads[1] & gmask) - (reads[0] & gmask) - borrow
-            borrow = 1 if diff < 0 else 0
-            out |= (diff & gmask) << lo
-        # a final borrow wraps mod 2**kq, which is exactly the q we want
-        return out
+                diff += (read if b else -read) << GROUP_BITS * g
+        # on a register wider than kq bits the last group also holds bits
+        # at and above kq: shifted into place they are multiples of q,
+        # which the `% q` removes
+        return diff % q
     except BaseException:
         prog.unwind()
         raise
     finally:
         if meter is not None:
             meter.release(charged)
+
+
+# the layered program's answer (the length-T path count) under its own name
+st_count_mod = st_nonzero_mod
 
 
 # ---------------------------------------------------------------------------
@@ -623,21 +603,14 @@ def connect_det(
     return ConnectivityAnswer(verdict, metrics)
 
 
-def _random_rounds(
-    prog: _PushProgram,
-    run: DriverRun,
-    rng: random.Random,
-    iters: int,
-    q_hi: int,
-    t: int,
-    extract: Callable[..., int],
-) -> str:
+def _random_rounds(prog: _PushProgram, run: DriverRun, rng: random.Random,
+                   iters: int, q_hi: int, t: int) -> str:
     """Up to `iters` rounds of a random modulus and shift; returns the verdict.
 
     A round draws q in [2, q_hi) and a shift beta, sets the program's
-    modulus to q, shifts every bank, and extracts the answer register with
-    `extract` if the shift left every bank register valid (the shift
-    reports it from the values it wrote; the model still charges the
+    modulus to q, shifts every bank, and reads the answer with
+    `st_nonzero_mod` if the shift left every bank register valid (the
+    shift reports it from the values it wrote; the model still charges the
     scan). The shift is removed on every exit path: the normal-path
     `unshift` sits inside the `try`, so an exception raised by it, too, is
     followed by an unshift from the banks still shifted. An invalid
@@ -657,7 +630,7 @@ def _random_rounds(
             run.steps.add(regs)
             if prog.pause is not None:
                 prog.pause("shifted")
-            value = extract(prog, t, meter=run.meter) if valid else None
+            value = st_nonzero_mod(prog, t, meter=run.meter) if valid else None
             prog.unshift()
         except BaseException:
             prog.unshift()
@@ -674,10 +647,14 @@ def _random_rounds(
     return VERDICT_NO_PATH
 
 
+def _random_sizing(P: int) -> tuple[int, int]:
+    """(modulus ceiling P**2, register width) for an answer of P bits."""
+    return P * P, 5 * ceil_log2(max(P, 2))
+
+
 def rand_parameters(n: int) -> tuple[int, int]:
     """(modulus ceiling P**2, register width) for the randomized driver."""
-    P = ceil_log2(nonzero_value_bound(n))
-    return P * P, 5 * ceil_log2(P)
+    return _random_sizing(ceil_log2(nonzero_value_bound(n)))
 
 
 def connect_rand_tape_bits(n: int) -> int:
@@ -727,8 +704,7 @@ def connect_rand(
     ) as run:
         prog = ParityProgram(graph, s, n, RegisterFile(tape, 0, 2 * n, ell, 2),
                              run.steps)
-        verdict = _random_rounds(prog, run, random.Random(seed), iters, q_hi, t,
-                                 st_nonzero_mod)
+        verdict = _random_rounds(prog, run, random.Random(seed), iters, q_hi, t)
     metrics = run.metrics(prog.catalytic_bits, verdict=verdict,
                           aborted=verdict == VERDICT_ABORT,
                           normalizations=["dummy-self-edges"])
@@ -736,22 +712,23 @@ def connect_rand(
 
 
 def revertible_parameters(graph: GraphOracle) -> dict:
-    """Sizing for the locally revertible driver on the degree-reduced view."""
+    """Sizing for the locally revertible driver on the degree-reduced view:
+    T + 1 layers of `view_n` registers of `ell` bits, `bits` in all."""
     view = DegreeReducedView(graph)
     T = view.diameter_bound()
     p = ceil_log2(max(view.n, 2) ** T)
-    ell = 5 * ceil_log2(max(p, 2))
+    q_hi, ell = _random_sizing(p)
+    registers = (T + 1) * view.n
     return {
         "view": view, "view_n": view.n, "T": T, "p": p, "ell": ell,
-        "q_hi": p * p,
+        "q_hi": q_hi, "registers": registers, "bits": registers * ell,
     }
 
 
 def connect_revertible_tape_bits(graph: GraphOracle) -> int:
     if graph.n < 2:
         return 0  # the only query is s = t, which allocates no register
-    params = revertible_parameters(graph)
-    return (params["T"] + 1) * params["view_n"] * params["ell"]
+    return revertible_parameters(graph)["bits"]
 
 
 def connect_revertible(
@@ -783,14 +760,14 @@ def connect_revertible(
     looped = SelfLoopView(view, t)
     T, n_ids, ell, q_hi = params["T"], params["view_n"], params["ell"], params["q_hi"]
     relevant = sorted(set(view.iter_nonisolated()) | {s, t})
+    # the registers start at tape bit 0; bits past them are never changed
+    register_bits = params["bits"]
     if tape is None:
-        tape = CatalyticTape.zeros((T + 1) * n_ids * ell)
+        tape = CatalyticTape.zeros(register_bits)
     m = graph.edge_count()
     pause_id = 0
     iteration = 0
     cache = None  # original register values, only while a hook call runs
-    # the registers start at tape bit 0; bits past them are never changed
-    register_bits = (T + 1) * n_ids * ell
 
     def query(bit_index: int) -> int:
         if not 0 <= bit_index < register_bits:
@@ -826,12 +803,12 @@ def connect_revertible(
         q=q_hi, d=1 << ell, beta=1 << ell,
     ) as run:
         state = LayeredPushState(
-            looped, s, T, RegisterFile(tape, 0, (T + 1) * n_ids, ell, 2),
+            looped, s, T, RegisterFile(tape, 0, params["registers"], ell, 2),
             relevant=relevant, steps=run.steps,
             pause=None if pause_hook is None else fire)
         try:
             verdict = _random_rounds(state, run, random.Random(seed), iters,
-                                     q_hi, t, st_count_mod)
+                                     q_hi, t)
         finally:
             # the hook reaches the state again through `query`; dropping
             # it lets the state go without waiting for the cycle collector

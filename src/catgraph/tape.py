@@ -474,12 +474,8 @@ class RegisterFile:
         return [v % q for v in values]
 
     def stream_residue(self, idx: int) -> int:
-        """The register's value mod q, in one tape read.
-
-        The logspace read streams the register GROUP_BITS at a time, most
-        significant first, into an accumulator in [q); extraction's meter
-        charge models that, so the simulation reads the register whole.
-        """
+        """The register's value mod q, in one tape read; the meter charges
+        the read streamed GROUP_BITS at a time (`st_nonzero_mod`)."""
         return self.read(idx) % self.modulus
 
     def read_group(self, idx: int, group: int) -> int:
@@ -490,11 +486,9 @@ class RegisterFile:
         return self.tape.read_bits(self._offset(idx) + group * GROUP_BITS, gw)
 
 
-def allocate_registers(
-    tape: CatalyticTape, base: int, count: int, width: int, modulus: int
-) -> RegisterFile:
-    """Allocate a register view; never modifies tape bits."""
-    return RegisterFile(tape, base, count, width, modulus)
+# a second name for the constructor, which never modifies tape bits; the
+# push program's `use_modulus` calls it by this name once per round
+allocate_registers = RegisterFile
 
 
 def make_tape(nbits: int, profile: str = "random", seed: int = 0) -> CatalyticTape:

@@ -451,8 +451,8 @@ class RotorRegisters:
         """Write every rotor with one tape write; values are checked first."""
         self.tape.write_bits(self.span.offset, self.span.bits, self.span.pack(values))
 
-    def restore_spans(self, snap: list[int]) -> None:
-        self.flush(snap)
+    # putting back the spans of `snapshot_spans` is a flush of them
+    restore_spans = flush
 
 
 def stationary_tape_bits(g: GraphOracle) -> int:

@@ -24,7 +24,7 @@ from catgraph.connectivity import (
 )
 from catgraph.errors import BudgetExceededError, InvalidRegisterError
 from catgraph.graphs import AdjacencyGraph, GraphOracle
-from catgraph.oracles import bfs_reach, count_paths_layers, zeta_table
+from catgraph.oracles import bfs_reach, count_paths, count_paths_layers, zeta_table
 from catgraph.tape import (
     CatalyticTape,
     RegisterFile,
@@ -462,17 +462,42 @@ def test_parity_program_reset():
         assert tape.digest() == before
 
 
-def test_extraction_strategies_agree():
-    # q = 2**26 extracts in grouped passes, q = 2**12 in one streaming pass;
-    # both must give the exact zeta value mod q
-    g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
-    zeta = zeta_table(g, 0, 4)[4][3]
-    for q in (1 << 26, 1 << 12):
-        tape, file = parity_file(g, q, seed=9, extra_width=3)
-        before = tape.digest()
-        prog = ParityProgram(g, 0, 4, file)
-        assert st_nonzero_mod(prog, 3) == zeta % q
-        assert tape.digest() == before
+@pytest.mark.parametrize("layered", [False, True], ids=["parity", "layered"])
+@pytest.mark.parametrize("q", [1 << 12, 1 << 16, 1 << 17, 1 << 32, 1 << 33,
+                               1 << 48, 1_000_003],
+                         ids=["2^12", "2^16", "2^17", "2^32", "2^33", "2^48",
+                              "odd"])
+def test_extraction_strategies_agree(q, layered):
+    # q up to 2**16 and the odd q read the answer in one streaming pass, a
+    # wider power of two in one pass per 16-bit group; the extra widths
+    # put bits above log2 q into the last group some of these q read. On
+    # the complete 6-vertex graph with T = 17 both answers pass 2**36, and
+    # the top group of each mod each wide q is nonzero, so every group
+    # counts. Each read gives the exact answer mod q and restores the tape.
+    rng = random.Random(q % 1000 + layered)
+    k6 = AdjacencyGraph.from_edges(6, [(u, v) for u in range(6)
+                                       for v in range(6) if u != v])
+    cases = [(k6, 0, 5, 17)]
+    for _ in range(3):
+        g = random_graph(rng, rng.randint(3, 6), p=rng.choice((0.3, 0.7)))
+        cases.append((g, rng.randrange(g.n), rng.randrange(g.n),
+                      rng.randint(1, 18)))
+    for g, s, t, T in cases:
+        if layered:
+            want = count_paths(g, s, T)[t]
+        else:
+            want = zeta_table(g, s, T)[T][t]
+        for seed, profile in enumerate(TAPE_PROFILES):
+            for extra_width in (0, 3, 17):
+                if layered:
+                    tape, file = layered_file(g, T, q, profile, seed, extra_width)
+                    prog = LayeredPushState(g, s, T, file)
+                else:
+                    tape, file = parity_file(g, q, profile, seed, extra_width)
+                    prog = ParityProgram(g, s, T, file)
+                before = tape.snapshot()
+                assert st_nonzero_mod(prog, t) == want % q
+                assert tape.snapshot() == before
 
 
 @pytest.mark.parametrize("layered, reg", [
