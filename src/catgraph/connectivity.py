@@ -430,8 +430,12 @@ class LayeredPushState(_PushProgram):
         (unchanged) held layer-(i-1) residues of v's in-neighbors; layer 0
         carries only the start increment; a shifted layer carries beta on
         top. A register in no bank is read from the tape: no step writes
-        one. Nothing is written.
+        one. Nothing is written. A register outside the T + 1 layers of
+        `stride` vertices raises IndexError.
         """
+        if not (0 <= i <= self.T and 0 <= v < self.stride):
+            raise IndexError(f"register {(i, v)} outside {self.T + 1} layers "
+                             f"of {self.stride}")
         file = self.file
         at = self._pos.get(v)
         if at is None:
@@ -463,11 +467,7 @@ def revert_query(state: LayeredPushState, reg: tuple[int, int]) -> int:
 
     See `LayeredPushState.original_value`.
     """
-    i, v = reg
-    if not (0 <= i <= state.T and 0 <= v < state.stride):
-        raise IndexError(f"register {reg} outside {state.T + 1} layers "
-                         f"of {state.stride}")
-    return state.original_value(i, v)
+    return state.original_value(*reg)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from operator import add
 from .errors import SinkVertexError, WalkCycleError
 from .graphs import GraphOracle, LayeredLiftView, with_sink_loops
 from .metrics import DriverRun, RunMetrics, StepCounter
-from .tape import CatalyticTape, RegisterFile, RegisterSpan, WorkspaceMeter, ceil_log2
+from .tape import CatalyticTape, RegisterSpan, WorkspaceMeter, ceil_log2
 
 FWD = "fwd"
 REV = "rev"
@@ -51,31 +51,38 @@ def register_width(K: int) -> int:
     return max(1, ceil_log2(max(K, 2)))
 
 
-class WalkRegisters(RegisterFile):
-    """One width-bit register per vertex, packed on the tape from `base`.
-
-    A register file with modulus 2**width. Hot loops run against the
+class _PackedRegisters:
+    """Registers packed in one checked tape span. Hot loops run against the
     values `load` reads; `flush` writes them all back, one span each way,
-    so the tape is authoritative at every API boundary. A walk masks every
-    value it writes, so a register no walk moved is flushed as loaded.
-    """
+    so the tape is authoritative at every API boundary."""
 
-    __slots__ = ("_span", "_marked")
-
-    def __init__(self, tape: CatalyticTape, base: int, count: int, width: int):
-        super().__init__(tape, base, count, width, 1 << width)
-        # every register in order: a full span, inside the checked file
-        self._span = RegisterSpan(range(count), base, count * width,
-                                  range(0, count * width, width), width)
-        self._marked = set()
+    def __init__(self, tape: CatalyticTape, span: RegisterSpan):
+        tape._check_span(span.offset, span.bits)
+        self.tape = tape
+        self.span = span
 
     def load(self) -> list[int]:
         """Every register's value, from one tape read."""
-        return self._span.unpack(self.tape.read_bits(self.base, self._span.bits))
+        return self.span.unpack(self.tape.read_bits(self.span.offset, self.span.bits))
 
     def flush(self, values: list[int]) -> None:
         """Write every register with one tape write; values are checked first."""
-        self.tape.write_bits(self.base, self._span.bits, self._span.pack(values))
+        self.tape.write_bits(self.span.offset, self.span.bits, self.span.pack(values))
+
+
+class WalkRegisters(_PackedRegisters):
+    """One width-bit register per vertex, packed on the tape from `base`,
+    that wraps at 2**width. A walk masks every value it writes, so a
+    register no walk moved is flushed as loaded."""
+
+    def __init__(self, tape: CatalyticTape, base: int, count: int, width: int):
+        if width < 1:
+            raise ValueError("width must be at least 1")
+        # an int width keeps `unpack` on its one-mask path
+        super().__init__(tape, RegisterSpan(range(count), base, count * width,
+                                            range(0, count * width, width), width))
+        self.width = width
+        self._marked = set()
 
     def mark_touched(self, indices) -> None:
         self._marked.update(indices)
@@ -423,36 +430,25 @@ def rotor_widths(g: GraphOracle) -> list[int]:
     return [ceil_log2(max(g.outdeg(v), 2)) for v in range(g.n)]
 
 
-class RotorRegisters:
-    """Variable-width rotors: vertex v stores a value in [outdeg(v)].
-
-    The rotors are one `RegisterSpan` of the widths of `rotor_widths`,
-    packed in vertex order into [base, end), so each method is one tape
-    read or write. A raw span is interpreted mod outdeg(v).
-    """
+class RotorRegisters(_PackedRegisters):
+    """Variable-width rotors of the widths of `rotor_widths`, packed in
+    vertex order into [base, end). Vertex v stores a value in [outdeg(v)]:
+    `load` reads its raw span mod outdeg(v), and `snapshot_spans` and
+    `restore_spans` move the raw spans."""
 
     def __init__(self, tape: CatalyticTape, g: GraphOracle, base: int = 0):
-        self.tape = tape
         self.g = g
         self.widths = rotor_widths(g)
-        self.span = RegisterSpan.packed(base, self.widths)
+        super().__init__(tape, RegisterSpan.packed(base, self.widths))
         self.end = base + self.span.bits
-        tape._check_span(base, self.span.bits)
 
-    def snapshot_spans(self) -> list[int]:
-        return self.span.unpack(self.tape.read_bits(self.span.offset, self.span.bits))
+    snapshot_spans = _PackedRegisters.load
+    restore_spans = _PackedRegisters.flush
 
     def load(self) -> list[int]:
         outdeg = self.g.outdeg
         return [raw % d if (d := outdeg(v)) > 0 else raw
                 for v, raw in enumerate(self.snapshot_spans())]
-
-    def flush(self, values: list[int]) -> None:
-        """Write every rotor with one tape write; values are checked first."""
-        self.tape.write_bits(self.span.offset, self.span.bits, self.span.pack(values))
-
-    # putting back the spans of `snapshot_spans` is a flush of them
-    restore_spans = flush
 
 
 def stationary_tape_bits(g: GraphOracle) -> int:
@@ -507,7 +503,7 @@ def estimate_stationary(
     degs = [len(nb) for nb in out]
     if 0 in degs:
         raise SinkVertexError(f"vertex {degs.index(0)} has no outgoing edges")
-    m = g.edge_count()
+    m = sum(degs)
     t_prime = walk_length(mix_time, m, delta)
     if tape is None:
         tape = CatalyticTape.zeros(stationary_tape_bits(g))

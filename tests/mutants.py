@@ -44,6 +44,11 @@ REF_WALKS = "tests/test_walks.py::test_walk_kernel_matches_reference_walks"
 WALK_ONCE = "tests/test_walks.py::test_walk_once_matches_a_one_walk_kernel_batch"
 CYCLE = ("tests/test_walks.py::"
          "test_a_cycle_reachable_from_s_raises_before_the_meter_or_the_tape")
+FLUSH_CHECKS = ("tests/test_walks.py::"
+                "test_rotor_registers_flush_rejects_bad_values_unchanged")
+UNALIGNED = "tests/test_walks.py::test_rotor_registers_move_one_span_at_unaligned_base"
+WALK_FLUSH = ("tests/test_walks.py::"
+              "test_walk_registers_flush_changes_only_the_walked_registers")
 SCALING = "tests/test_acceptance.py::test_criterion_12_scaling_smoke"
 
 
@@ -139,6 +144,14 @@ MUTANTS = [
       SCALING]),
     ("cycle-check-removed",
      [(WALKS, "if _reaches_cycle(out, s):", "if False:")], [CYCLE]),
+    # the one load and flush of both walk register views
+    ("packed-flush-unchecked",
+     [(WALKS, "self.span.pack(values)", "self.span.pack_lanes(values)")],
+     [FLUSH_CHECKS]),
+    ("packed-load-from-bit-0",
+     [(WALKS, "self.tape.read_bits(self.span.offset, self.span.bits)",
+       "self.tape.read_bits(0, self.span.bits)")],
+     [UNALIGNED, WALK_FLUSH]),
 ]
 
 

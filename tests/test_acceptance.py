@@ -308,7 +308,7 @@ def test_criterion_08_fairness_and_reversibility(dag_runs):
                              StepCounter())
             for _ in range(K):
                 _rotor_walks(out, 0, -1, REV, 1, values, width, None, StepCounter())
-            regs.write_block(0, values)
+            regs.flush(values)
             assert tape.digest() == before, (K, trial)
     report(8, "per-vertex transition counts differ by <= 2 on every forward run; "
               "K forward + K reverse leave the register digest unchanged for "

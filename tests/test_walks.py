@@ -68,7 +68,7 @@ def test_walk_once_figure_counts():
     g = figure_dag()
     tape = CatalyticTape.zeros(16)
     regs = WalkRegisters(tape, 0, 8, 2)
-    regs.write_block(0, FIGURE_INIT)
+    regs.flush(FIGURE_INIT)
     counters = VisitCounters.for_graph(g)
     for _ in range(3):
         walk_once(g, 0, FWD, regs, counters)
@@ -632,7 +632,7 @@ def test_repeated_walks_reverse_in_bulk(k):
         _rotor_walks(out, 0, -1, FWD, 1, values, width, [0] * g.n, StepCounter())
     for _ in range(k):
         _rotor_walks(out, 0, -1, REV, 1, values, width, None, StepCounter())
-    regs.write_block(0, values)
+    regs.flush(values)
     assert tape.digest() == before
 
 
@@ -921,6 +921,13 @@ def test_stationary_out_edge_queries_do_not_grow_with_the_walk():
     (short, short_queries), (long, long_queries) = runs
     assert long == 10 * short
     assert short_queries == long_queries > 0
+    # given a tape, the call reads the out-lists (the edge count is their
+    # total length) and then the out-degrees that size the rotors
+    tape = make_tape(stationary_tape_bits(log))
+    log.log.clear()
+    estimate_stationary(log, 0, 3, 0.1, tape)
+    assert log.log == ([("out_neighbors", v) for v in range(log.n)]
+                       + [("outdeg", v) for v in range(log.n)])
 
 
 def _mixed_width_graph(rng, shift, n=17):
@@ -932,56 +939,75 @@ def _mixed_width_graph(rng, shift, n=17):
     return AdjacencyGraph.from_edges(n, edges)
 
 
-def _rotor_spans(tape, rot, base):
+def _spans(tape, widths, base):
     out, off = [], base
-    for w in rot.widths:
+    for w in widths:
         out.append(tape.read_bits(off, w))
         off += w
     return out
 
 
+def _packed_views(g, base, tail, seed):
+    """Both walk views at `base`, each on its own random tape with `tail`
+    bits past its span, with their register widths: g's rotors, and one
+    walk register per vertex, 1 to 4 bits wide as `seed` goes."""
+    tape = make_tape(base + stationary_tape_bits(g) + tail, "random", seed)
+    rot = RotorRegisters(tape, g, base)
+    width = 1 + seed % 4
+    tape = make_tape(base + g.n * width + tail, "random", seed)
+    walk = WalkRegisters(tape, base, g.n, width)
+    return [(rot, rot.widths), (walk, [width] * g.n)]
+
+
 def test_rotor_registers_move_one_span_at_unaligned_base():
+    # both walk views read and write their registers as one span, and a
+    # flush moves no bit outside it
     rng = random.Random(13)
     for trial in range(6):
         g = _mixed_width_graph(rng, trial)
+        assert set(rotor_widths(g)) == {1, 2, 3, 4}
         base = 3 + 2 * trial
-        tape = make_tape(base + stationary_tape_bits(g) + 13, "random", trial)
-        rot = RotorRegisters(tape, g, base)
-        assert set(rot.widths) == {1, 2, 3, 4}
-        raw = _rotor_spans(tape, rot, base)
-        assert rot.snapshot_spans() == raw
-        assert rot.load() == [x % g.outdeg(v) for v, x in enumerate(raw)]
-        whole = tape.read_bits(0, tape.nbits)
-        outside = whole & ~(((1 << (rot.end - base)) - 1) << base)
-        values = [rng.randrange(1 << w) for w in rot.widths]
-        rot.flush(values)
-        assert _rotor_spans(tape, rot, base) == values
-        after = tape.read_bits(0, tape.nbits)
-        assert after & ~(((1 << (rot.end - base)) - 1) << base) == outside
-        with pytest.raises(ValueError):
-            rot.flush([1 << w for w in rot.widths])
-        assert tape.read_bits(0, tape.nbits) == after
-        rot.restore_spans(raw)
-        assert tape.read_bits(0, tape.nbits) == whole
+        for regs, widths in _packed_views(g, base, 13, trial):
+            rotor = type(regs) is RotorRegisters
+            tape = regs.tape
+            raw = _spans(tape, widths, base)
+            if rotor:
+                assert regs.end == base + sum(widths)
+                assert regs.snapshot_spans() == raw
+                assert regs.load() == [x % g.outdeg(v) for v, x in enumerate(raw)]
+            else:
+                assert regs.load() == raw
+            whole = tape.read_bits(0, tape.nbits)
+            outside = ~(((1 << sum(widths)) - 1) << base)
+            values = [rng.randrange(1 << w) for w in widths]
+            regs.flush(values)
+            assert _spans(tape, widths, base) == values
+            after = tape.read_bits(0, tape.nbits)
+            assert after & outside == whole & outside
+            with pytest.raises(ValueError):
+                regs.flush([1 << w for w in widths])
+            assert tape.read_bits(0, tape.nbits) == after
+            (regs.restore_spans if rotor else regs.flush)(raw)
+            assert tape.read_bits(0, tape.nbits) == whole
 
 
 def test_rotor_registers_flush_rejects_bad_values_unchanged():
+    # both walk views check the count and every value before their one
+    # tape write
     rng = random.Random(14)
     for trial in range(6):
         g = _mixed_width_graph(rng, trial)
-        base = 1 + trial
-        tape = make_tape(base + stationary_tape_bits(g) + 7, "random", trial)
-        rot = RotorRegisters(tape, g, base)
-        before = tape.snapshot()
-        values = [rng.randrange(1 << w) for w in rot.widths]
-        v = rng.randrange(g.n)
-        for bad in (-1, -(1 << 70), 1 << rot.widths[v], 1 << 70):
-            with pytest.raises(ValueError):
-                rot.flush(values[:v] + [bad] + values[v + 1:])
-        for wrong in (values[:-1], values + [0], []):
-            with pytest.raises(ValueError):
-                rot.flush(wrong)
-        assert tape.snapshot() == before
+        for regs, widths in _packed_views(g, 1 + trial, 7, trial):
+            before = regs.tape.snapshot()
+            values = [rng.randrange(1 << w) for w in widths]
+            v = rng.randrange(g.n)
+            for bad in (-1, -(1 << 70), 1 << widths[v], 1 << 70):
+                with pytest.raises(ValueError):
+                    regs.flush(values[:v] + [bad] + values[v + 1:])
+            for wrong in (values[:-1], values + [0], []):
+                with pytest.raises(ValueError):
+                    regs.flush(wrong)
+            assert regs.tape.snapshot() == before
 
 
 def test_rotor_state_collision_demonstrates_information_loss():
